@@ -137,6 +137,11 @@ void write_indented(const value& v, std::ostream& os, int depth) {
   }
 }
 
+/// Deepest array/object nesting parse() accepts. The parser recurses
+/// once per level, so unbounded nesting would overflow the stack; the
+/// reports nest a handful of levels.
+constexpr int k_max_depth = 256;
+
 /// Recursive-descent parser over a string view with a cursor.
 class parser {
  public:
@@ -183,8 +188,16 @@ class parser {
   value parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == k_max_depth)
+          fail("nesting deeper than " + std::to_string(k_max_depth) +
+               " levels");
+        ++depth_;
+        value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return value(parse_string());
       case 't':
         if (consume_literal("true")) return value(true);
@@ -316,6 +329,7 @@ class parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the cursor
 };
 
 }  // namespace

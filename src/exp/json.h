@@ -74,7 +74,8 @@ void write(const value& v, std::ostream& os);
 std::string to_string(const value& v);
 
 /// Parses a complete JSON document; throws std::invalid_argument with a
-/// byte offset on malformed input or trailing garbage.
+/// byte offset on malformed input, trailing garbage, or arrays/objects
+/// nested more than 256 deep.
 value parse(const std::string& text);
 
 }  // namespace wsan::exp::json

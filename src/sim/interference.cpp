@@ -64,9 +64,7 @@ std::vector<bool> interference_field::sample_active(rng& gen) const {
   return active;
 }
 
-void interference_field::sample_active(rng& gen,
-                                       std::vector<char>& active) const {
-  active.resize(interferers_.size());
+void interference_field::sample_active(rng& gen, char* active) const {
   for (std::size_t i = 0; i < interferers_.size(); ++i)
     active[i] = gen.bernoulli(interferers_[i].duty_cycle) ? 1 : 0;
 }

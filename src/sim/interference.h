@@ -59,10 +59,10 @@ class interference_field {
   /// Samples which interferers are active this slot.
   std::vector<bool> sample_active(rng& gen) const;
 
-  /// Allocation-free variant: resizes `active` to num_interferers()
-  /// (a no-op in steady state) and fills it in place. Consumes exactly
-  /// the same RNG draws in the same order as the vector overload.
-  void sample_active(rng& gen, std::vector<char>& active) const;
+  /// Allocation-free variant: fills active[0, num_interferers()) with
+  /// 0/1. Consumes exactly the same RNG draws in the same order as the
+  /// vector overload.
+  void sample_active(rng& gen, char* active) const;
 
  private:
   std::vector<external_interferer> interferers_;

@@ -25,22 +25,19 @@ struct slot_entry {
   tsch::transmission tx;
   offset_t offset = k_invalid_offset;
   bool reuse_cell = false;  ///< scheduled cell holds >= 2 transmissions
-  // Fast-path fields, filled by the engine setup:
-  int link = -1;   ///< dense link index over the schedule's distinct links
   int so_mod = 0;  ///< (slot + offset) mod |channels|
 };
 
-/// Fast-engine memo state for one (sender, receiver, channel-position)
-/// coordinate. Packing the run-invariant base, the epoch-stamped live
-/// signal, and the epoch-stamped clean reception probability into one
-/// struct keeps a hot-path query (and its miss path) on one or two
-/// cache lines instead of six parallel arrays.
+/// Oracle-tier memo state for one (schedule link, channel-position)
+/// coordinate. Packing the run-invariant base and the epoch-stamped
+/// live signal and clean reception probability into one struct keeps a
+/// hot-path query (and its miss path) on one cache line instead of
+/// several parallel arrays.
 struct coord_cache {
   double base = 0.0;  ///< measured RSSI + drift (run-invariant)
-  double sig = 0.0;   ///< base + fade, valid when sig_epoch matches
-  double p0 = 0.0;    ///< clean PRR, valid when p0_epoch matches
-  std::uint32_t sig_epoch = 0;
-  std::uint32_t p0_epoch = 0;
+  double sig = 0.0;   ///< base + fade, valid when epoch matches
+  double p0 = 0.0;    ///< clean PRR of sig, valid when epoch matches
+  std::uint32_t epoch = 0;
   std::uint8_t base_ready = 0;
 };
 
@@ -84,7 +81,7 @@ std::vector<std::vector<slot_entry>> flatten_schedule(
                          tx.receiver >= 0 && tx.receiver < num_nodes,
                      "schedule transmission references a node outside "
                      "the topology");
-        slot_entry entry{tx, c, cell.size() >= 2, -1, 0};
+        slot_entry entry{tx, c, cell.size() >= 2, 0};
         entry.so_mod = static_cast<int>((s + c) % num_channels);
         by_slot[static_cast<std::size_t>(s)].push_back(entry);
       }
@@ -147,19 +144,34 @@ inline std::uint64_t drift_chan_seed(std::uint64_t pair_state,
   return splitmix64(state);
 }
 
-/// Drift sigma selection shared by both tiers up to the intermittence
-/// draw, which each tier takes from its own transform of the pair seed.
-inline double drift_sigma(const sim_config& config, bool maintained,
-                          double intermittent_u) {
-  if (maintained) {
-    // Used links are re-measured every health-report epoch; a link
-    // that went intermittent would be rerouted, so in steady state
-    // the maintained population only sees small drift.
-    return config.maintained_drift_sigma_db;
+/// Calibration drift through one tier's transforms: the shared seed
+/// chain, then xoshiro + libm Box-Muller for the oracle
+/// (compute_drift_db) or the counter-based element kernels for batched
+/// (the element function of the engine's prefill_drift_batched batch).
+/// Unmaintained pairs draw their intermittence class from a pair-level
+/// stream, so it is the same on every channel.
+template <fade_kernel_kind Tier>
+double drift_db(const sim_config& config, bool maintained, node_id a,
+                node_id b, channel_t ch) {
+  constexpr bool batched = Tier == fade_kernel_kind::batched;
+  const std::uint64_t pair_state = drift_pair_state(config.seed, a, b);
+  // Used links are re-measured every health-report epoch; a link that
+  // went intermittent would be rerouted, so in steady state the
+  // maintained population only sees small drift.
+  double sigma = config.maintained_drift_sigma_db;
+  if (!maintained) {
+    std::uint64_t s = pair_state;
+    const std::uint64_t class_seed = splitmix64(s);
+    const double u = batched ? batch_uniform01(class_seed)
+                             : rng(class_seed).uniform01();
+    sigma = u < config.intermittent_fraction
+                ? config.intermittent_sigma_db
+                : config.calibration_drift_sigma_db;
   }
-  return intermittent_u < config.intermittent_fraction
-             ? config.intermittent_sigma_db
-             : config.calibration_drift_sigma_db;
+  if (sigma <= 0.0) return 0.0;
+  const std::uint64_t seed = drift_chan_seed(pair_state, ch);
+  return batched ? sigma * batch_normal(seed)
+                 : rng(seed).normal(0.0, sigma);
 }
 
 /// Stream index for the batched tier's derived per-run interferer
@@ -179,21 +191,6 @@ inline constexpr std::uint64_t k_probe_stream = 0x9b0be5ULL;
 /// 10/ln10 * ln(m), routed through batch_detail's poly_exp/poly_log.
 inline constexpr double k_ln10_over_10 = std::numbers::ln10 / 10.0;
 inline constexpr double k_10_over_ln10 = 10.0 / std::numbers::ln10;
-
-/// Batched-tier drift: same seed chain as compute_drift_db, with the
-/// xoshiro/Box-Muller transform replaced by the batched kernels.
-double compute_drift_db_batched(const sim_config& config, bool maintained,
-                                node_id a, node_id b, channel_t ch) {
-  const std::uint64_t pair_state = drift_pair_state(config.seed, a, b);
-  double u = 0.0;
-  if (!maintained) {
-    std::uint64_t s = pair_state;
-    u = batch_uniform01(splitmix64(s));
-  }
-  const double sigma = drift_sigma(config, maintained, u);
-  if (sigma <= 0.0) return 0.0;
-  return sigma * batch_normal(drift_chan_seed(pair_state, ch));
-}
 
 /// Shared tail of both engines: totals, per-flow PDR, obs counters.
 void finalize_result(sim_result& result,
@@ -515,22 +512,24 @@ sim_result run_simulation_naive(const topo::topology& topo,
 // statistics accumulate in dense arrays over links interned once at
 // setup, and every per-slot scratch vector is hoisted into a reusable
 // pre-reserved buffer. The caches only memoize values drawn from
-// *derived* RNGs keyed by their coordinates; in the default oracle
-// tier every draw from the main `gen` stream (interferer activity,
-// reception Bernoullis, probe channels) happens in exactly the naive
-// order, so the sample path — and therefore every output — is
-// bit-identical to the oracle engine.
+// *derived* RNGs keyed by their coordinates; in the oracle tier every
+// draw from the main `gen` stream (interferer activity, reception
+// Bernoullis, probe channels) happens in exactly the naive order, so
+// the sample path — and therefore every output — is bit-identical to
+// the naive engine.
 //
-// The batched tier (config.fade_kernel == batched) keeps the engine
+// The derived-RNG kernel tier is a template parameter: run_simulation
+// picks the oracle or the batched instantiation once, so neither slot
+// loop branches on the tier. The batched tier keeps the engine
 // structure and the coordinate-keyed seed chains but swaps the scalar
 // xoshiro + libm transforms for the vectorized counter-based kernels
-// of common/batch_rng.h: a dense whole-table refill per run
-// (batch_fade_fill over run-invariant pair-key/channel/base arrays), a
-// drift-table setup batch (prefill_drift_batched), and derived per-run
-// streams for interferer duty-cycle activity
-// (refresh_interferer_rows) and probe draws. Outputs are then
-// statistically — not bitwise — equivalent to the oracle, which the
-// K-S gate in stats/equivalence.h enforces.
+// of common/batch_rng.h: dense (link, channel) signal and clean-PRR
+// tables (refilled per run by batch_fade_fill with fading on, filled
+// once at setup without), a drift-table setup batch
+// (prefill_drift_batched), and derived per-run streams for interferer
+// duty-cycle activity (refresh_interferer_rows) and probe draws.
+// Outputs are then statistically — not bitwise — equivalent to the
+// oracle, which the K-S gate in stats/equivalence.h enforces.
 
 /// Compact per-transmission record for the fast engine's hyperperiod
 /// scan. Everything the slot loop reads per entry, packed into 24
@@ -549,7 +548,10 @@ struct fast_entry {
   std::uint8_t reuse_cell;   ///< scheduled cell holds >= 2 transmissions
 };
 
+template <fade_kernel_kind Tier>
 class fast_engine {
+  static constexpr bool k_batched = Tier == fade_kernel_kind::batched;
+
  public:
   fast_engine(const topo::topology& topo, const tsch::schedule& sched,
               const std::vector<flow::flow>& flows,
@@ -562,6 +564,7 @@ class fast_engine {
         ncl_(static_cast<int>(channels.size())),
         hp_(sched.num_slots()),
         field_(topo, config.interferers, config.seed ^ 0x5eedULL),
+        num_intf_(field_.num_interferers()),
         faults_(config.faults, topo.num_nodes()),
         faults_on_(faults_.any()) {
     capture_.capture_threshold_db = config.capture_threshold_db;
@@ -649,11 +652,10 @@ class fast_engine {
       list_chan_[static_cast<std::size_t>(i)] =
           channels[static_cast<std::size_t>(i)];
 
-    // Memoization tables, lazily filled: (unordered pair, channel) for
-    // drift, epoch-stamped (run, unordered pair, channel) for fading.
-    // The double arrays are left uninitialized on purpose — the ready /
-    // epoch bytes gate every read — so construction does not touch
-    // megabytes of memory it will never fully use.
+    // Drift memo, lazily filled per (unordered pair, channel). The
+    // double array is left uninitialized on purpose — the ready bytes
+    // gate every read — so construction does not touch megabytes of
+    // memory it will never fully use.
     drift_zero_ = config.calibration_drift_sigma_db <= 0.0 &&
                   config.maintained_drift_sigma_db <= 0.0 &&
                   (config.intermittent_fraction <= 0.0 ||
@@ -666,52 +668,27 @@ class fast_engine {
       drift_ready_.assign(pair_channels, 0);
     }
     fade_on_ = config.temporal_fading_sigma_db > 0.0;
-    // Directed memo state, keyed by (schedule link, channel position):
-    // every hot-path query — reception signal, clean reception
-    // probability, probe probability — is for a link the schedule
-    // carries, so the cache is sized |links| * |channels| (tens of KB,
-    // resident in L1/L2) instead of nodes^2 * |channels| (megabytes of
-    // address space whose touched lines keep falling out of cache).
-    // Each struct holds the run-invariant base (RSSI + drift), the
-    // epoch-stamped live signal, and the epoch-stamped clean reception
-    // probability, so a query and its miss path stay on one cache
-    // line. Fading is the only run-dependent input: with fading off
-    // entries stay valid for the whole simulation (epoch 1); with
-    // fading on they are stamped per run. The only query this cache
-    // cannot serve — the cross RSSI of a concurrent sender into
-    // another link's receiver — has its own lazily allocated memo
-    // (see cross_rssi).
-    link_coords_.reset(
-        new coord_cache[link_keys_.size() *
-                        static_cast<std::size_t>(ncl_)]());
+    coord_count_ = link_keys_.size() * static_cast<std::size_t>(ncl_);
     // The zero-interference reception probability is
-    // prr_from_rssi(link, signal): both parameter validations and the
-    // sigmoid constants are hoisted here so the per-miss work is just
-    // the clamped sigmoid itself. If either transition width is
-    // invalid the miss path falls back to phy::reception_probability,
-    // which throws exactly as the oracle does.
-    p0_inline_ok_ = capture_.transition_width_db > 0.0 &&
-                    capture_.link.transition_width_db > 0.0;
+    // prr_from_rssi(link, signal). run_simulation validated both
+    // transition widths, so the parameter checks and the sigmoid
+    // constants are hoisted here and the per-coordinate work is just
+    // the clamped sigmoid itself.
     p0_scale_ = capture_.link.transition_width_db / 4.0;
     p0_sens_ = capture_.link.sensitivity_dbm;
 
-    // Probe channel draw, inlined from rng::uniform_int(0, ncl-1): the
-    // Lemire rejection threshold only depends on the range, so it is
-    // computed once instead of per probe.
-    probe_range_ = static_cast<std::uint64_t>(ncl_);
-    probe_threshold_ = (0 - probe_range_) % probe_range_;
-
     // External interferers: overlap per (interferer, list position) and
     // received power per (interferer, node), so the hot loop reads two
-    // arrays instead of calling power_at.
-    const int num_intf = field_.num_interferers();
-    ext_overlap_.assign(
-        static_cast<std::size_t>(num_intf) * static_cast<std::size_t>(ncl_),
-        0);
-    ext_power_.assign(static_cast<std::size_t>(num_intf) *
+    // arrays instead of calling power_at. Powers are stored in the unit
+    // the tier's rx_prob sums: dBm for the oracle, milliwatts (through
+    // the poly kernel) for batched.
+    ext_overlap_.assign(static_cast<std::size_t>(num_intf_) *
+                            static_cast<std::size_t>(ncl_),
+                        0);
+    ext_power_.assign(static_cast<std::size_t>(num_intf_) *
                           static_cast<std::size_t>(n_),
                       0.0);
-    for (int k = 0; k < num_intf; ++k) {
+    for (int k = 0; k < num_intf_; ++k) {
       for (int ci = 0; ci < ncl_; ++ci)
         ext_overlap_[static_cast<std::size_t>(k) *
                          static_cast<std::size_t>(ncl_) +
@@ -720,643 +697,95 @@ class fast_engine {
                                list_chan_[static_cast<std::size_t>(ci)])
                 ? 1
                 : 0;
-      for (node_id v = 0; v < n_; ++v)
+      for (node_id v = 0; v < n_; ++v) {
+        const double dbm = field_.received_dbm(k, v);
         ext_power_[static_cast<std::size_t>(k) *
                        static_cast<std::size_t>(n_) +
-                   static_cast<std::size_t>(v)] = field_.received_dbm(k, v);
+                   static_cast<std::size_t>(v)] =
+            k_batched ? batch_detail::poly_exp(dbm * k_ln10_over_10) : dbm;
+      }
     }
 
-    // Hopping-class prefill logs and probe-batch scratch, sized so the
-    // steady-state loops never allocate.
-    coord_count_ = link_keys_.size() * static_cast<std::size_t>(ncl_);
-    prefill_on_ = fade_on_ && p0_inline_ok_;
-    class_log_.resize(static_cast<std::size_t>(ncl_));
-    for (auto& log : class_log_) log.reserve(coord_count_);
-    run_used_mark_.assign(coord_count_, 0);
-    run_used_ids_.reserve(coord_count_);
+    // Probe records and interferer activity rows, sized so the
+    // steady-state loops never allocate. One activity row per possible
+    // sample point of a run: every slot of the hyperperiod plus every
+    // probe (slots without active transmissions and muted links skip
+    // theirs).
     const std::size_t max_probes =
         link_keys_.size() *
-        static_cast<std::size_t>(
-            config.probes_per_run > 0 ? config.probes_per_run : 0);
+        static_cast<std::size_t>(std::max(config.probes_per_run, 0));
     probe_ci_.resize(max_probes);
     probe_u_.resize(max_probes);
-    miss_queue_.reserve(coord_count_);
+    probe_row_.resize(max_probes);
+    intf_active_.resize((static_cast<std::size_t>(hp_) + max_probes) *
+                        static_cast<std::size_t>(num_intf_));
 
     // Scratch buffers, reserved once; the slot loop only clear()s them.
     active_.reserve(max_entries);
     active_chan_pos_.reserve(max_entries);
     active_chan_val_.reserve(max_entries);
     success_.reserve(max_entries);
-    powers_.reserve(max_entries + static_cast<std::size_t>(num_intf));
-    interferers_active_.reserve(static_cast<std::size_t>(num_intf));
+    powers_.reserve(max_entries + static_cast<std::size_t>(num_intf_));
     counts_.assign(link_keys_.size(), link_run_counts{});
     obs_cache_.assign(link_keys_.size(), nullptr);
 
-    // Batched tier setup (everything above is tier-independent).
-    batched_ = config.fade_kernel == fade_kernel_kind::batched;
-    if (batched_) {
-      // Poly SINR path: the interference branch of the reception
-      // probability re-expressed through the batch poly kernels (see
-      // reception_probability below). Gated on the same width
-      // validation as the inline p0; the noise-floor term of the SINR
-      // denominator is run-invariant, so it is converted once here.
-      poly_rx_ = p0_inline_ok_;
-      cap_thresh_ = capture_.capture_threshold_db;
-      cap_scale_ = capture_.transition_width_db / 4.0;
-      noise_mw_ = batch_detail::poly_exp(capture_.link.noise_floor_dbm *
-                                         k_ln10_over_10);
-      if (poly_rx_) {
-        powers_mw_.reserve(powers_.capacity());
-        ext_power_mw_.resize(ext_power_.size());
-        for (std::size_t i = 0; i < ext_power_.size(); ++i)
-          ext_power_mw_[i] =
-              batch_detail::poly_exp(ext_power_[i] * k_ln10_over_10);
-      }
-      probe_uu_.resize(2 * max_probes);
-      if (!drift_zero_) prefill_drift_batched();
-      // Dense refill mode: with fading on, nearly every (link, channel)
-      // coordinate is touched every run (the slot working set plus the
-      // probes' uniform channel picks cover the table), so the batched
-      // tier refills the whole table once per run with one fused
-      // kernel call over run-invariant arrays instead of tracking
-      // misses. Pair keys, channels and bases (rssi + drift) never
-      // change across runs; the run prefix enters inside the kernel.
-      dense_on_ = fade_on_ && p0_inline_ok_;
-      if (dense_on_) {
-        prefill_on_ = false;  // subsumed: no used-set tracking needed
-        dense_pk_.resize(coord_count_);
-        dense_ch_.resize(coord_count_);
-        dense_base_.resize(coord_count_);
-        dense_sig_.resize(coord_count_);
-        dense_p0_.resize(coord_count_);
-        for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-          const link_key& key = link_keys_[li];
-          const auto lo = static_cast<std::uint64_t>(
-              key.sender < key.receiver ? key.sender : key.receiver);
-          const auto hi = static_cast<std::uint64_t>(
-              key.sender < key.receiver ? key.receiver : key.sender);
-          for (int ci = 0; ci < ncl_; ++ci) {
-            const std::size_t id = li * static_cast<std::size_t>(ncl_) +
-                                   static_cast<std::size_t>(ci);
-            const channel_t ch =
-                list_chan_[static_cast<std::size_t>(ci)];
-            dense_pk_[id] = lo << 32 | hi;
-            dense_ch_[id] = static_cast<std::uint64_t>(ch);
-            dense_base_[id] =
-                topo_.rssi_dbm(key.sender, key.receiver, ch) +
-                drift(key.sender, key.receiver, ci, ch);
-          }
-        }
-      }
-      if (num_intf > 0) {
-        // One activity row per possible sample point of a run: every
-        // slot of the hyperperiod plus every probe. A run consumes at
-        // most that many rows (slots without active transmissions and
-        // muted links skip theirs).
-        const std::size_t rows =
-            static_cast<std::size_t>(hp_) + max_probes;
-        intf_active_.resize(rows * static_cast<std::size_t>(num_intf));
-        intf_u_.resize(rows * static_cast<std::size_t>(num_intf));
-        intf_duty_.resize(static_cast<std::size_t>(num_intf));
-        for (int k = 0; k < num_intf; ++k)
-          intf_duty_[static_cast<std::size_t>(k)] =
-              field_.interferer(k).duty_cycle;
+    if constexpr (k_batched) {
+      setup_batched(max_probes);
+    } else {
+      // Directed memo state, keyed by (schedule link, channel
+      // position): every hot-path query — reception signal, clean
+      // reception probability, probe probability — is for a link the
+      // schedule carries, so the cache is sized |links| * |channels|
+      // (tens of KB, resident in L1/L2) instead of nodes^2 * |channels|.
+      // With fading off entries stay valid for the whole simulation
+      // (epoch 1); with fading on they are stamped per run.
+      link_coords_.reset(new coord_cache[coord_count_]());
+      miss_queue_.reserve(coord_count_);
+      if (fade_on_) {
+        class_log_.resize(static_cast<std::size_t>(ncl_));
+        for (auto& log : class_log_) log.reserve(coord_count_);
+        run_used_mark_.assign(coord_count_, 0);
+        run_used_ids_.reserve(coord_count_);
       }
     }
   }
 
   sim_result run() {
     rng gen(config_.seed);
-    const int num_intf = field_.num_interferers();
-
-    std::vector<long long> delivered(flows_.size(), 0);
-    std::vector<long long> released(flows_.size(), 0);
-
-    sim_result result;
-    result.energy.per_node_mj.assign(static_cast<std::size_t>(n_), 0.0);
-    const auto& em = config_.energy;
-    auto& energy = result.energy;
+    delivered_.assign(flows_.size(), 0);
+    released_.assign(flows_.size(), 0);
+    result_.energy.per_node_mj.assign(static_cast<std::size_t>(n_), 0.0);
 
     for (int run = 0; run < config_.runs; ++run) {
       faults_.begin_run(run);
       std::fill(progress_.begin(), progress_.end(), 0);
       for (std::size_t fi = 0; fi < flows_.size(); ++fi)
-        released[fi] += flow_instances_[fi];
+        released_[fi] += flow_instances_[fi];
       std::fill(counts_.begin(), counts_.end(), link_run_counts{});
       // (run * hp + s + offset) mod |channels|, with the run component
       // folded out of the per-entry work.
-      const int run_base = static_cast<int>(
+      run_base_ = static_cast<int>(
           (static_cast<std::int64_t>(run) * hp_) % ncl_);
-      run_class_ = run_base;
       epoch_ = fade_on_ ? static_cast<std::uint32_t>(run) + 1 : 1;
+      intf_cursor_ = 0;
       if (fade_on_) {
         // Hoist the run-only prefix of compute_fade_db's seed chain:
         // the first splitmix64 step mutates the state by a constant and
         // mixes a value that depends only on the run, so both halves
         // can be computed once here and xor-combined with the pair key
-        // per miss.
+        // per coordinate.
         fade_prefix_ = fade_prefix(config_.seed, run);
-        // Prefill the coordinates the slot loop used in the previous
-        // run of this hopping class (the (slot, offset) -> channel
-        // mapping repeats with period |channels|, so the used set is a
-        // high-accuracy predictor). Batching the fills lets the fade
-        // kernels' splitmix/log/cos chains pipeline across independent
-        // coordinates, where the lazy miss path pays each chain's full
-        // serial latency — and in the batched tier the whole working
-        // set goes through one vectorized normal + sigmoid pass.
-        // Prefilled values are pure derived data: a retry coordinate
-        // that does not fire this run wastes a kernel but cannot
-        // perturb the main gen stream.
-        if (dense_on_) {
-          // Whole-table refill, one fused vectorized pass: fade chain,
-          // sigma scale, base add and clean-PRR sigmoid for every
-          // coordinate. Readers then index dense_sig_/dense_p0_
-          // directly — no epochs, no used-set tracking, no miss
-          // queues. Per-coordinate values match the lazy element
-          // transforms exactly (same chain, same expression order).
-          batch_fade_fill(fade_prefix_.state, fade_prefix_.z,
-                          dense_pk_.data(), dense_ch_.data(),
-                          dense_base_.data(), coord_count_,
-                          config_.temporal_fading_sigma_db, p0_sens_,
-                          p0_scale_, dense_sig_.data(),
-                          dense_p0_.data());
-          obs_fade_kernels_ += coord_count_;
-        } else if (prefill_on_) {
-          for (const int packed :
-               class_log_[static_cast<std::size_t>(run_class_)]) {
-            const std::size_t idx =
-                static_cast<std::size_t>(packed >> 8) *
-                    static_cast<std::size_t>(ncl_) +
-                static_cast<std::size_t>(packed & 255);
-            if (link_coords_[idx].sig_epoch != epoch_) fill_coord(packed);
-          }
-        }
+        refill_coords();
       }
-      if (batched_ && num_intf > 0) refresh_interferer_rows(run);
-
-      {
-        OBS_SPAN("sim.slot_loop");
-        for (slot_t s = 0; s < hp_; ++s) {
-          const int eb = slot_begin_[static_cast<std::size_t>(s)];
-          const int ee = slot_begin_[static_cast<std::size_t>(s) + 1];
-          if (eb == ee) continue;
-
-          active_.clear();
-          active_chan_pos_.clear();
-          active_chan_val_.clear();
-          for (int e = eb; e < ee; ++e) {
-            const auto& entry = entries_[static_cast<std::size_t>(e)];
-            const int prog =
-                progress_[static_cast<std::size_t>(entry.prog_index)];
-            const bool sender_crashed =
-                faults_on_ && faults_.node_down(entry.sender);
-            if (prog != entry.link_index || sender_crashed) {
-              if (!faults_on_ || !faults_.node_down(entry.receiver)) {
-                energy.per_node_mj[static_cast<std::size_t>(
-                    entry.receiver)] += em.idle_listen_mj;
-                ++energy.idle_listens;
-              }
-              continue;  // done, dead, past, or crashed
-            }
-            active_.push_back(&entry);
-            int ci = run_base + entry.so_mod;
-            if (ci >= ncl_) ci -= ncl_;
-            active_chan_pos_.push_back(ci);
-            active_chan_val_.push_back(
-                list_chan_[static_cast<std::size_t>(ci)]);
-          }
-          if (active_.empty()) continue;
-          obs_active_transmissions_ += active_.size();
-
-          if (num_intf > 0) {
-            // With no interferers the oracle's sample_active draws
-            // nothing and fills nothing, so the call is elided. The
-            // batched tier reads the next pre-generated activity row
-            // instead of consuming main-stream draws (its derived
-            // per-run stream; see refresh_interferer_rows).
-            if (batched_) {
-              next_interferer_row();
-            } else {
-              field_.sample_active(gen, interferers_active_);
-              if (run < config_.interferer_start_run)
-                std::fill(interferers_active_.begin(),
-                          interferers_active_.end(), char{0});
-            }
-          }
-
-          success_.assign(active_.size(), 0);
-          for (std::size_t i = 0; i < active_.size(); ++i) {
-            const auto& tx = *active_[i];
-            const int li = tx.link;
-            const channel_t ch = active_chan_val_[i];
-            const int ci = active_chan_pos_[i];
-            // One scratch buffer, internal powers first then external:
-            // sub-ranges feed the counterfactual reception probabilities
-            // in exactly the oracle's vector order.
-            powers_.clear();
-            powers_mw_.clear();
-            for (std::size_t j = 0; j < active_.size(); ++j) {
-              if (j == i || active_chan_val_[j] != ch) continue;
-              powers_.push_back(cross_rssi(active_[j]->sender,
-                                           tx.receiver, ci, ch));
-              if (poly_rx_)
-                powers_mw_.push_back(
-                    cross_mw_[cross_index(active_[j]->sender,
-                                          tx.receiver, ci)]);
-            }
-            const std::size_t internal_count = powers_.size();
-            obs_internal_pairs_ += internal_count;
-            for (int k = 0; k < num_intf; ++k) {
-              if (!interferers_active_[static_cast<std::size_t>(k)])
-                continue;
-              if (!ext_overlap_[static_cast<std::size_t>(k) *
-                                    static_cast<std::size_t>(ncl_) +
-                                static_cast<std::size_t>(ci)])
-                continue;
-              const std::size_t pi =
-                  static_cast<std::size_t>(k) *
-                      static_cast<std::size_t>(n_) +
-                  static_cast<std::size_t>(tx.receiver);
-              powers_.push_back(ext_power_[pi]);
-              if (poly_rx_) powers_mw_.push_back(ext_power_mw_[pi]);
-            }
-            const std::size_t external_count =
-                powers_.size() - internal_count;
-            // Interference-free receptions — the bulk of a
-            // contention-free schedule — collapse to one cached
-            // probability; the signal is only assembled when a
-            // counterfactual needs it.
-            double p;
-            if (powers_.empty()) {
-              p = p0<true>(li, tx.sender, tx.receiver, ci, ch);
-            } else {
-              const double signal =
-                  link_signal<true>(li, tx.sender, tx.receiver, ci, ch);
-              p = rx_prob<true>(li, tx.sender, tx.receiver, ci, ch,
-                                signal, 0, powers_.size());
-              auto& counts = counts_[static_cast<std::size_t>(li)];
-              const bool faulted =
-                  faults_on_ &&
-                  (faults_.node_down(tx.receiver) ||
-                   faults_.link_down(tx.sender, tx.receiver) ||
-                   faults_.slot_jammed(s));
-              if (internal_count > 0 && !faulted) {
-                // Counterfactual without the in-network interferers:
-                // the external sub-span alone, or the cached p0 when
-                // nothing external is active.
-                const double without_internal =
-                    external_count > 0
-                        ? rx_prob<true>(li, tx.sender, tx.receiver, ci,
-                                        ch, signal, internal_count,
-                                        external_count)
-                        : p0<true>(li, tx.sender, tx.receiver, ci, ch);
-                counts.loss_internal += without_internal - p;
-              }
-              if (external_count > 0 && !faulted) {
-                const double without_external =
-                    internal_count > 0
-                        ? rx_prob<true>(li, tx.sender, tx.receiver, ci,
-                                        ch, signal, 0, internal_count)
-                        : p0<true>(li, tx.sender, tx.receiver, ci, ch);
-                counts.loss_external += without_external - p;
-              }
-            }
-            const bool faulted_rx =
-                faults_on_ &&
-                (faults_.node_down(tx.receiver) ||
-                 faults_.link_down(tx.sender, tx.receiver) ||
-                 faults_.slot_jammed(s));
-            success_[i] = (gen.bernoulli(p) && !faulted_rx) ? 1 : 0;
-          }
-
-          for (std::size_t i = 0; i < active_.size(); ++i) {
-            const auto& tx = *active_[i];
-            const auto fi = static_cast<std::size_t>(tx.flow);
-            auto& prog =
-                progress_[static_cast<std::size_t>(tx.prog_index)];
-
-            auto& counts =
-                counts_[static_cast<std::size_t>(tx.link)];
-            if (tx.reuse_cell) {
-              ++counts.reuse_attempts;
-              counts.reuse_successes += success_[i] ? 1 : 0;
-            } else {
-              ++counts.cf_attempts;
-              counts.cf_successes += success_[i] ? 1 : 0;
-            }
-
-            energy.per_node_mj[static_cast<std::size_t>(tx.sender)] +=
-                em.tx_packet_mj + em.rx_ack_mj;
-            if (!faults_on_ || !faults_.node_down(tx.receiver)) {
-              energy.per_node_mj[static_cast<std::size_t>(tx.receiver)] +=
-                  em.rx_packet_mj + (success_[i] ? em.tx_ack_mj : 0.0);
-            }
-            ++energy.data_transmissions;
-
-            if (success_[i]) {
-              ++prog;
-              if (prog == route_len_[fi]) ++delivered[fi];
-            }
-          }
-        }
+      if constexpr (k_batched) {
+        if (num_intf_ > 0) refresh_interferer_rows(run);
       }
-
-      if (prefill_on_) {
-        // This run's used set becomes the next same-class run's
-        // prefill list; the scratch bitmap is wiped by walking the
-        // same list (never the full table).
-        auto& log = class_log_[static_cast<std::size_t>(run_class_)];
-        log.assign(run_used_ids_.begin(), run_used_ids_.end());
-        for (const int packed : run_used_ids_) {
-          run_used_mark_[static_cast<std::size_t>(packed >> 8) *
-                             static_cast<std::size_t>(ncl_) +
-                         static_cast<std::size_t>(packed & 255)] = 0;
-        }
-        run_used_ids_.clear();
-      }
-
-      if (config_.probes_per_run > 0 && num_intf == 0) {
-        OBS_SPAN("sim.probe_loop");
-        // With no external interferers a probe's outcome is just its
-        // clean reception probability, and the gen draw sequence —
-        // channel pick then Bernoulli uniform per probe — does not
-        // depend on any reception probability. So the draws are
-        // consumed up front in exactly the oracle's order, the missing
-        // (link, channel) table entries are filled in one batch whose
-        // independent fade kernels pipeline, and the outcomes are then
-        // evaluated from the warm table.
-        std::size_t np = 0;
-        miss_queue_.clear();
-        if (batched_) {
-          // The batched tier takes probe channel picks and Bernoulli
-          // thresholds from a derived per-run stream generated in one
-          // vectorized uniform pass (same pattern as the interferer
-          // rows) instead of draw-by-draw from the main gen stream:
-          // the first |links|*probes values are the channel uniforms,
-          // the second half the outcome thresholds, indexed by (link,
-          // probe) so muted links skip their entries without shifting
-          // anyone else's. Channel picks map through floor(u * ncl)
-          // rather than the oracle's rejection loop — both are uniform
-          // over the list, which is all the statistical contract asks.
-          // Since the dense refill already warmed every coordinate,
-          // pick, compare and accounting fuse into one pass — no
-          // recorded draw arrays, no deferred fill.
-          const std::size_t np_total =
-              link_keys_.size() *
-              static_cast<std::size_t>(config_.probes_per_run);
-          batch_uniform01s(derive_seed(config_.seed, k_probe_stream,
-                                       static_cast<std::uint64_t>(run)),
-                           2 * np_total, probe_uu_.data());
-          const double* uch = probe_uu_.data();
-          const double* uth = probe_uu_.data() + np_total;
-          const double dncl = static_cast<double>(ncl_);
-          for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-            const auto& link = link_keys_[li];
-            if (faults_on_ && faults_.node_down(link.sender))
-              continue;  // mute
-            const bool probe_faulted =
-                faults_on_ &&
-                (faults_.node_down(link.receiver) ||
-                 faults_.link_down(link.sender, link.receiver));
-            const bool rx_alive =
-                !faults_on_ || !faults_.node_down(link.receiver);
-            auto& counts = counts_[li];
-            const std::size_t base =
-                li * static_cast<std::size_t>(config_.probes_per_run);
-            for (int probe = 0; probe < config_.probes_per_run;
-                 ++probe) {
-              int ci = static_cast<int>(
-                  uch[base + static_cast<std::size_t>(probe)] * dncl);
-              // u < 1 keeps u*ncl < ncl except for a possible
-              // round-to-even at the very top of the range; clamp the
-              // (never-taken in practice) overflow instead of trusting
-              // the rounding mode.
-              if (ci >= ncl_) ci = ncl_ - 1;
-              const double p =
-                  dense_on_
-                      ? dense_p0_[li * static_cast<std::size_t>(ncl_) +
-                                  static_cast<std::size_t>(ci)]
-                      : p0(static_cast<int>(li), link.sender,
-                           link.receiver, ci,
-                           list_chan_[static_cast<std::size_t>(ci)]);
-              // Same validation gen.bernoulli(p) performs before the
-              // comparison.
-              WSAN_REQUIRE(p >= 0.0 && p <= 1.0,
-                           "bernoulli requires p in [0, 1]");
-              ++counts.cf_attempts;
-              counts.cf_successes +=
-                  (uth[base + static_cast<std::size_t>(probe)] < p &&
-                   !probe_faulted)
-                      ? 1
-                      : 0;
-              energy.per_node_mj[static_cast<std::size_t>(
-                  link.sender)] += em.tx_packet_mj;  // broadcast: no ACK
-              if (rx_alive) {
-                energy.per_node_mj[static_cast<std::size_t>(
-                    link.receiver)] += em.rx_packet_mj;
-              }
-              ++energy.data_transmissions;
-            }
-          }
-        } else {
-          for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-            if (faults_on_ && faults_.node_down(link_keys_[li].sender))
-              continue;  // mute
-            for (int probe = 0; probe < config_.probes_per_run;
-                 ++probe) {
-              // Inline of gen.uniform_int(0, ncl-1): identical
-              // rejection loop consuming identical draws, with the
-              // range-dependent threshold precomputed at setup.
-              int ci;
-              for (;;) {
-                const std::uint64_t r = gen();
-                if (r >= probe_threshold_) {
-                  ci = static_cast<int>(r % probe_range_);
-                  break;
-                }
-              }
-              probe_ci_[np] = ci;
-              // The draw gen.bernoulli(p) would consume, recorded
-              // before p is known (the comparison happens in the last
-              // phase).
-              probe_u_[np] = gen.uniform01();
-              ++np;
-              if (p0_inline_ok_) {
-                coord_cache& c =
-                    link_coords_[li * static_cast<std::size_t>(ncl_) +
-                                 static_cast<std::size_t>(ci)];
-                if (c.p0_epoch != epoch_) {
-                  // Stamp now so duplicates queue once; the value
-                  // lands in the fill pass below, before anything
-                  // reads it.
-                  c.p0_epoch = epoch_;
-                  miss_queue_.push_back((static_cast<int>(li) << 8) |
-                                        ci);
-                }
-              }
-            }
-          }
-          for (const int id : miss_queue_) fill_coord(id);
-          std::size_t pi = 0;
-          for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-            const auto& link = link_keys_[li];
-            if (faults_on_ && faults_.node_down(link.sender)) continue;
-            const bool probe_faulted =
-                faults_on_ &&
-                (faults_.node_down(link.receiver) ||
-                 faults_.link_down(link.sender, link.receiver));
-            const bool rx_alive =
-                !faults_on_ || !faults_.node_down(link.receiver);
-            auto& counts = counts_[li];
-            for (int probe = 0; probe < config_.probes_per_run;
-                 ++probe, ++pi) {
-              const int ci = probe_ci_[pi];
-              // With the inline sigmoid available, every probe
-              // coordinate was stamped and filled above, so the table
-              // read needs no epoch check; otherwise the regular
-              // memoized query runs.
-              const double p =
-                  p0_inline_ok_
-                      ? link_coords_[li * static_cast<std::size_t>(
-                                              ncl_) +
-                                     static_cast<std::size_t>(ci)]
-                            .p0
-                      : p0(static_cast<int>(li), link.sender,
-                           link.receiver, ci,
-                           list_chan_[static_cast<std::size_t>(ci)]);
-              // Same validation gen.bernoulli(p) performs before its
-              // comparison against the (here pre-recorded) uniform
-              // draw.
-              WSAN_REQUIRE(p >= 0.0 && p <= 1.0,
-                           "bernoulli requires p in [0, 1]");
-              ++counts.cf_attempts;
-              counts.cf_successes +=
-                  (probe_u_[pi] < p && !probe_faulted) ? 1 : 0;
-              energy.per_node_mj[static_cast<std::size_t>(
-                  link.sender)] += em.tx_packet_mj;  // broadcast: no ACK
-              if (rx_alive) {
-                energy.per_node_mj[static_cast<std::size_t>(
-                    link.receiver)] += em.rx_packet_mj;
-              }
-              ++energy.data_transmissions;
-            }
-          }
-          // Warm-table reads above are cache hits; account them in
-          // bulk rather than per probe on the hot path.
-          if (p0_inline_ok_) obs_cache_hits_ += pi;
-        }
-      } else if (config_.probes_per_run > 0) {
-        OBS_SPAN("sim.probe_loop");
-        for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-          const auto& link = link_keys_[li];
-          if (faults_.node_down(link.sender)) continue;  // mute
-          const bool probe_faulted =
-              faults_on_ && (faults_.node_down(link.receiver) ||
-                             faults_.link_down(link.sender, link.receiver));
-          auto& counts = counts_[li];
-          for (int probe = 0; probe < config_.probes_per_run; ++probe) {
-            // Inline of gen.uniform_int(0, ncl-1): identical rejection
-            // loop consuming identical draws, with the range-dependent
-            // threshold precomputed at setup.
-            int ci;
-            for (;;) {
-              const std::uint64_t r = gen();
-              if (r >= probe_threshold_) {
-                ci = static_cast<int>(r % probe_range_);
-                break;
-              }
-            }
-            const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
-            if (num_intf > 0) {
-              if (batched_) {
-                next_interferer_row();
-              } else {
-                field_.sample_active(gen, interferers_active_);
-                if (run < config_.interferer_start_run)
-                  std::fill(interferers_active_.begin(),
-                            interferers_active_.end(), char{0});
-              }
-            }
-            powers_.clear();
-            powers_mw_.clear();
-            for (int k = 0; k < num_intf; ++k) {
-              if (!interferers_active_[static_cast<std::size_t>(k)])
-                continue;
-              if (!ext_overlap_[static_cast<std::size_t>(k) *
-                                    static_cast<std::size_t>(ncl_) +
-                                static_cast<std::size_t>(ci)])
-                continue;
-              const std::size_t pi =
-                  static_cast<std::size_t>(k) *
-                      static_cast<std::size_t>(n_) +
-                  static_cast<std::size_t>(link.receiver);
-              powers_.push_back(ext_power_[pi]);
-              if (poly_rx_) powers_mw_.push_back(ext_power_mw_[pi]);
-            }
-            double p;
-            if (powers_.empty()) {
-              p = p0(static_cast<int>(li), link.sender, link.receiver,
-                     ci, ch);
-            } else {
-              p = rx_prob<false>(
-                  static_cast<int>(li), link.sender, link.receiver, ci,
-                  ch,
-                  link_signal<false>(static_cast<int>(li), link.sender,
-                                     link.receiver, ci, ch),
-                  0, powers_.size());
-            }
-            ++counts.cf_attempts;
-            counts.cf_successes +=
-                (gen.bernoulli(p) && !probe_faulted) ? 1 : 0;
-            energy.per_node_mj[static_cast<std::size_t>(link.sender)] +=
-                em.tx_packet_mj;  // broadcast: no ACK
-            if (!faults_.node_down(link.receiver)) {
-              energy.per_node_mj[static_cast<std::size_t>(
-                  link.receiver)] += em.rx_packet_mj;
-            }
-            ++energy.data_transmissions;
-            if (!powers_.empty() && !probe_faulted) {
-              counts.loss_external +=
-                  p0(static_cast<int>(li), link.sender, link.receiver,
-                     ci, ch) -
-                  p;
-            }
-          }
-        }
-      }
-
-      // Flush this run's accumulators, in link_key order (== the
-      // oracle's std::map iteration order).
-      for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-        const auto& counts = counts_[li];
-        if (counts.reuse_attempts == 0 && counts.cf_attempts == 0)
-          continue;
-        if (faults_.reports_withheld(link_keys_[li].sender)) continue;
-        link_observations* obs = obs_cache_[li];
-        if (obs == nullptr) {
-          obs = &result.links[link_keys_[li]];
-          obs_cache_[li] = obs;
-        }
-        if (counts.reuse_attempts > 0) {
-          obs->reuse_samples.emplace_back(
-              run, static_cast<double>(counts.reuse_successes) /
-                       static_cast<double>(counts.reuse_attempts));
-          obs->reuse_attempts += counts.reuse_attempts;
-          obs->reuse_successes += counts.reuse_successes;
-        }
-        if (counts.cf_attempts > 0) {
-          obs->cf_samples.emplace_back(
-              run, static_cast<double>(counts.cf_successes) /
-                       static_cast<double>(counts.cf_attempts));
-          obs->cf_attempts += counts.cf_attempts;
-          obs->cf_successes += counts.cf_successes;
-        }
-        obs->expected_loss_internal += counts.loss_internal;
-        obs->expected_loss_external += counts.loss_external;
-      }
+      slot_loop(gen, run);
+      if (config_.probes_per_run > 0) probe_loop(gen, run);
+      flush_run(run);
     }
 
-    finalize_result(result, flows_, released, delivered, config_);
+    finalize_result(result_, flows_, released_, delivered_, config_);
     if (wsan::obs::enabled()) {
       wsan::obs::add_counter("sim.active_transmissions",
                              obs_active_transmissions_);
@@ -1365,10 +794,328 @@ class fast_engine {
       wsan::obs::add_counter("sim.rssi_cache_hits", obs_cache_hits_);
       wsan::obs::add_counter("sim.fade_kernels", obs_fade_kernels_);
     }
-    return result;
+    return std::move(result_);
   }
 
  private:
+  /// Run-start fill of this run's fading coordinates. Batched: one
+  /// fused vectorized batch_fade_fill over the whole dense table (fade
+  /// chain, sigma scale, base add and clean-PRR sigmoid per coordinate,
+  /// matching the element transforms exactly). Oracle: the coordinates
+  /// the slot loop used in the previous run of this hopping class (the
+  /// (slot, offset) -> channel mapping repeats with period |channels|,
+  /// so the used set is a high-accuracy predictor); batching the fills
+  /// lets the fade kernels' splitmix/log/cos chains pipeline across
+  /// independent coordinates instead of paying each chain's serial
+  /// latency on a lazy miss. Prefilled values are pure derived data: a
+  /// retry coordinate that does not fire this run wastes a kernel but
+  /// cannot perturb the main gen stream.
+  void refill_coords() {
+    if constexpr (k_batched) {
+      batch_fade_fill(fade_prefix_.state, fade_prefix_.z, dense_pk_.data(),
+                      dense_ch_.data(), dense_base_.data(), coord_count_,
+                      config_.temporal_fading_sigma_db, p0_sens_,
+                      p0_scale_, dense_sig_.data(), dense_p0_.data());
+      obs_fade_kernels_ += coord_count_;
+    } else {
+      for (const int packed :
+           class_log_[static_cast<std::size_t>(run_base_)]) {
+        coord_cache& c = link_coords_[coord_index(packed)];
+        if (c.epoch != epoch_) fill_coord(c, packed);
+      }
+    }
+  }
+
+  void slot_loop(rng& gen, int run) {
+    OBS_SPAN("sim.slot_loop");
+    const auto& em = config_.energy;
+    auto& energy = result_.energy;
+    for (slot_t s = 0; s < hp_; ++s) {
+      const int eb = slot_begin_[static_cast<std::size_t>(s)];
+      const int ee = slot_begin_[static_cast<std::size_t>(s) + 1];
+      if (eb == ee) continue;
+
+      active_.clear();
+      active_chan_pos_.clear();
+      active_chan_val_.clear();
+      for (int e = eb; e < ee; ++e) {
+        const auto& entry = entries_[static_cast<std::size_t>(e)];
+        const int prog =
+            progress_[static_cast<std::size_t>(entry.prog_index)];
+        const bool sender_crashed =
+            faults_on_ && faults_.node_down(entry.sender);
+        if (prog != entry.link_index || sender_crashed) {
+          if (!faults_on_ || !faults_.node_down(entry.receiver)) {
+            energy.per_node_mj[static_cast<std::size_t>(entry.receiver)] +=
+                em.idle_listen_mj;
+            ++energy.idle_listens;
+          }
+          continue;  // done, dead, past, or crashed
+        }
+        active_.push_back(&entry);
+        int ci = run_base_ + entry.so_mod;
+        if (ci >= ncl_) ci -= ncl_;
+        active_chan_pos_.push_back(ci);
+        active_chan_val_.push_back(list_chan_[static_cast<std::size_t>(ci)]);
+      }
+      if (active_.empty()) continue;
+      obs_active_transmissions_ += active_.size();
+
+      // With no interferers the naive sample_active draws nothing, so
+      // no activity row is taken.
+      const char* row = num_intf_ > 0 ? next_activity_row(gen, run) : nullptr;
+
+      success_.assign(active_.size(), 0);
+      for (std::size_t i = 0; i < active_.size(); ++i) {
+        const auto& tx = *active_[i];
+        const int li = tx.link;
+        const channel_t ch = active_chan_val_[i];
+        const int ci = active_chan_pos_[i];
+        // One scratch buffer, internal powers first then external:
+        // sub-ranges feed the counterfactual reception probabilities
+        // in exactly the oracle's vector order.
+        powers_.clear();
+        for (std::size_t j = 0; j < active_.size(); ++j) {
+          if (j == i || active_chan_val_[j] != ch) continue;
+          powers_.push_back(cross_power(active_[j]->sender, tx.receiver, ci));
+        }
+        const std::size_t internal_count = powers_.size();
+        obs_internal_pairs_ += internal_count;
+        add_external(row, ci, tx.receiver);
+        const std::size_t external_count = powers_.size() - internal_count;
+        // A crashed receiver, failed link, or jammed slot loses the
+        // packet; the Bernoulli draw is consumed either way.
+        const bool faulted = faults_on_ &&
+                             (faults_.node_down(tx.receiver) ||
+                              faults_.link_down(tx.sender, tx.receiver) ||
+                              faults_.slot_jammed(s));
+        // Interference-free receptions — the bulk of a contention-free
+        // schedule — collapse to one cached probability; the signal is
+        // only assembled when a counterfactual needs it.
+        double p;
+        if (powers_.empty()) {
+          p = p0<true>(li, ci);
+        } else {
+          const double signal = link_signal<true>(li, ci);
+          p = rx_prob(li, ci, signal, 0, powers_.size());
+          auto& counts = counts_[static_cast<std::size_t>(li)];
+          // Each counterfactual drops one source: the other sub-span
+          // alone, or the cached p0 when that sub-span is empty.
+          if (internal_count > 0 && !faulted) {
+            counts.loss_internal +=
+                (external_count > 0
+                     ? rx_prob(li, ci, signal, internal_count, external_count)
+                     : p0<true>(li, ci)) -
+                p;
+          }
+          if (external_count > 0 && !faulted) {
+            counts.loss_external +=
+                (internal_count > 0
+                     ? rx_prob(li, ci, signal, 0, internal_count)
+                     : p0<true>(li, ci)) -
+                p;
+          }
+        }
+        success_[i] = (gen.bernoulli(p) && !faulted) ? 1 : 0;
+      }
+
+      for (std::size_t i = 0; i < active_.size(); ++i) {
+        const auto& tx = *active_[i];
+        const auto fi = static_cast<std::size_t>(tx.flow);
+        auto& prog = progress_[static_cast<std::size_t>(tx.prog_index)];
+
+        auto& counts = counts_[static_cast<std::size_t>(tx.link)];
+        if (tx.reuse_cell) {
+          ++counts.reuse_attempts;
+          counts.reuse_successes += success_[i] ? 1 : 0;
+        } else {
+          ++counts.cf_attempts;
+          counts.cf_successes += success_[i] ? 1 : 0;
+        }
+
+        energy.per_node_mj[static_cast<std::size_t>(tx.sender)] +=
+            em.tx_packet_mj + em.rx_ack_mj;
+        if (!faults_on_ || !faults_.node_down(tx.receiver)) {
+          energy.per_node_mj[static_cast<std::size_t>(tx.receiver)] +=
+              em.rx_packet_mj + (success_[i] ? em.tx_ack_mj : 0.0);
+        }
+        ++energy.data_transmissions;
+
+        if (success_[i]) {
+          ++prog;
+          if (prog == route_len_[fi]) ++delivered_[fi];
+        }
+      }
+    }
+
+    if constexpr (!k_batched) {
+      if (fade_on_) {
+        // This run's used set becomes the next same-class run's
+        // prefill list; the scratch bitmap is wiped by walking the
+        // same list (never the full table).
+        class_log_[static_cast<std::size_t>(run_base_)].assign(
+            run_used_ids_.begin(), run_used_ids_.end());
+        for (const int packed : run_used_ids_)
+          run_used_mark_[coord_index(packed)] = 0;
+        run_used_ids_.clear();
+      }
+    }
+  }
+
+  /// Neighbor-discovery probes: contention-free broadcasts that hop
+  /// across the channel list, exposed only to external interference. A
+  /// probe's main-stream draws — the rejection-loop channel pick, one
+  /// duty-cycle draw per interferer, the Bernoulli uniform — never
+  /// depend on its reception probability, so the loop runs in three
+  /// phases: (1) record every probe's channel, interferer activity and
+  /// threshold, in the naive draw order; (2) in the oracle tier, fill
+  /// the coordinates those probes miss in one batch, whose independent
+  /// fade kernels pipeline; (3) evaluate and account each probe from
+  /// the warm table.
+  void probe_loop(rng& gen, int run) {
+    OBS_SPAN("sim.probe_loop");
+    const auto per_link = static_cast<std::size_t>(config_.probes_per_run);
+    // The batched tier without interferers takes channel picks and
+    // thresholds from a derived per-run stream generated in one
+    // vectorized uniform pass: the first |links| * probes values are the
+    // channel uniforms, the second half the thresholds, indexed by
+    // (link, probe) so muted links skip their entries without shifting
+    // anyone else's. Channel picks map through floor(u * ncl) rather
+    // than the oracle's rejection loop — both are uniform over the
+    // list, which is all the statistical contract asks. With
+    // interferers it draws from the main stream like the oracle, with
+    // activity from its pre-generated rows.
+    const bool derived = k_batched && num_intf_ == 0;
+    const std::size_t np_total = link_keys_.size() * per_link;
+    if (derived) {
+      batch_uniform01s(derive_seed(config_.seed, k_probe_stream,
+                                   static_cast<std::uint64_t>(run)),
+                       2 * np_total, probe_uu_.data());
+    }
+
+    // The probe channel draw inlines rng::uniform_int(0, ncl-1): the
+    // Lemire rejection threshold only depends on the range, so it is
+    // computed once instead of per probe.
+    const auto range = static_cast<std::uint64_t>(ncl_);
+    const std::uint64_t threshold = (0 - range) % range;
+    std::size_t np = 0;
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      if (faults_on_ && faults_.node_down(link_keys_[li].sender))
+        continue;  // dead nodes are mute
+      for (std::size_t probe = 0; probe < per_link; ++probe, ++np) {
+        int ci;
+        const char* row = nullptr;
+        if (derived) {
+          const std::size_t k = li * per_link + probe;
+          // u < 1 keeps u*ncl < ncl except for a possible round-to-even
+          // at the very top of the range; clamp the (never-taken in
+          // practice) overflow instead of trusting the rounding mode.
+          ci = std::min(static_cast<int>(probe_uu_[k] * ncl_), ncl_ - 1);
+          probe_u_[np] = probe_uu_[np_total + k];
+        } else {
+          // Identical rejection loop, identical draws.
+          for (;;) {
+            const std::uint64_t r = gen();
+            if (r >= threshold) {
+              ci = static_cast<int>(r % range);
+              break;
+            }
+          }
+          if (num_intf_ > 0) row = next_activity_row(gen, run);
+          // The draw gen.bernoulli(p) would consume, recorded before p
+          // is known.
+          probe_u_[np] = gen.uniform01();
+        }
+        probe_ci_[np] = ci;
+        probe_row_[np] = row;
+        if constexpr (!k_batched) {
+          const int packed = (static_cast<int>(li) << 8) | ci;
+          coord_cache& c = link_coords_[coord_index(packed)];
+          if (c.epoch != epoch_) {
+            // Stamp now so duplicates queue once; the values land in
+            // the fill pass below, before anything reads them.
+            c.epoch = epoch_;
+            miss_queue_.push_back(packed);
+          }
+        }
+      }
+    }
+    if constexpr (!k_batched) {
+      for (const int packed : miss_queue_)
+        fill_coord(link_coords_[coord_index(packed)], packed);
+      miss_queue_.clear();
+    }
+
+    const auto& em = config_.energy;
+    auto& energy = result_.energy;
+    np = 0;
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const auto& link = link_keys_[li];
+      if (faults_on_ && faults_.node_down(link.sender)) continue;
+      const bool probe_faulted =
+          faults_on_ && (faults_.node_down(link.receiver) ||
+                         faults_.link_down(link.sender, link.receiver));
+      const bool rx_alive = !faults_on_ || !faults_.node_down(link.receiver);
+      auto& counts = counts_[li];
+      const int l = static_cast<int>(li);
+      for (std::size_t probe = 0; probe < per_link; ++probe, ++np) {
+        const int ci = probe_ci_[np];
+        powers_.clear();
+        add_external(probe_row_[np], ci, link.receiver);
+        const double clean = p0(l, ci);
+        const double p =
+            powers_.empty()
+                ? clean
+                : rx_prob(l, ci, link_signal(l, ci), 0, powers_.size());
+        // Same validation gen.bernoulli(p) performs before comparing
+        // against its (here pre-recorded) uniform draw.
+        WSAN_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli requires p in [0, 1]");
+        ++counts.cf_attempts;
+        counts.cf_successes += (probe_u_[np] < p && !probe_faulted) ? 1 : 0;
+        energy.per_node_mj[static_cast<std::size_t>(link.sender)] +=
+            em.tx_packet_mj;  // broadcast: no ACK
+        if (rx_alive) {
+          energy.per_node_mj[static_cast<std::size_t>(link.receiver)] +=
+              em.rx_packet_mj;
+        }
+        ++energy.data_transmissions;
+        if (!powers_.empty() && !probe_faulted)
+          counts.loss_external += clean - p;
+      }
+    }
+  }
+
+  /// Flushes this run's accumulators, in link_key order (== the
+  /// oracle's std::map iteration order).
+  void flush_run(int run) {
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const auto& counts = counts_[li];
+      if (counts.reuse_attempts == 0 && counts.cf_attempts == 0) continue;
+      if (faults_.reports_withheld(link_keys_[li].sender)) continue;
+      link_observations* obs = obs_cache_[li];
+      if (obs == nullptr) {
+        obs = &result_.links[link_keys_[li]];
+        obs_cache_[li] = obs;
+      }
+      if (counts.reuse_attempts > 0) {
+        obs->reuse_samples.emplace_back(
+            run, static_cast<double>(counts.reuse_successes) /
+                     static_cast<double>(counts.reuse_attempts));
+        obs->reuse_attempts += counts.reuse_attempts;
+        obs->reuse_successes += counts.reuse_successes;
+      }
+      if (counts.cf_attempts > 0) {
+        obs->cf_samples.emplace_back(
+            run, static_cast<double>(counts.cf_successes) /
+                     static_cast<double>(counts.cf_attempts));
+        obs->cf_attempts += counts.cf_attempts;
+        obs->cf_successes += counts.cf_successes;
+      }
+      obs->expected_loss_internal += counts.loss_internal;
+      obs->expected_loss_external += counts.loss_external;
+    }
+  }
+
   std::size_t pair_offset(node_id a, node_id b) const {
     const node_id lo = a < b ? a : b;
     const node_id hi = a < b ? b : a;
@@ -1385,11 +1132,8 @@ class fast_engine {
       ++obs_cache_hits_;
       return drift_[idx];
     }
-    drift_[idx] =
-        batched_
-            ? compute_drift_db_batched(config_, maintained_[pair] != 0, a,
-                                       b, ch)
-            : compute_drift_db(config_, maintained_[pair] != 0, a, b, ch);
+    const bool maintained = maintained_[pair] != 0;
+    drift_[idx] = drift_db<Tier>(config_, maintained, a, b, ch);
     drift_ready_[idx] = 1;
     return drift_[idx];
   }
@@ -1400,92 +1144,145 @@ class fast_engine {
   /// spare-free shared kernel rng::first_normal — bit-identical to
   /// `sigma * rng(seed).normal()`. Batched tier: the same seed through
   /// the counter-based batch_normal element transform, so a lazy miss
-  /// produces exactly what the bulk fill would have. Pure per (pair,
-  /// channel) within a run, so live_rssi's coordinate cache absorbs
-  /// repeats; a dedicated fade table was measured slower (the extra
-  /// cache lines per miss cost more than the rare cross-direction
-  /// reuse saved).
+  /// produces exactly what the bulk fill would have.
   double fade(node_id a, node_id b, channel_t ch) {
     ++obs_fade_kernels_;
     const std::uint64_t seed = fade_seed(fade_prefix_, a, b, ch);
-    return batched_
-               ? config_.temporal_fading_sigma_db * batch_normal(seed)
-               : config_.temporal_fading_sigma_db * rng::first_normal(seed);
+    return config_.temporal_fading_sigma_db *
+           (k_batched ? batch_normal(seed) : rng::first_normal(seed));
   }
 
   /// Reception probability under interference over the sub-range
-  /// [begin, begin + count) of this slot's collected powers,
-  /// dispatched per tier. Oracle: phy::reception_probability verbatim
-  /// over powers_ (bit-identity). Batched: the same standalone x
-  /// capture-sigmoid product with every libm call eliminated — the
-  /// standalone sigmoid is the cached p0 (dense table or epoch memo),
-  /// the SINR denominator sums the pre-converted milliwatt mirror
-  /// powers_mw_ (interferer conversions are memoized at their source:
-  /// ext_power_mw_ at setup, cross_mw_ per run), and mw_to_dbm plus
-  /// the capture sigmoid go through the branch-free poly_log /
-  /// batch_sigmoid kernels. Elementwise pure and deterministic per
-  /// (config, seed); within ~1e-13 relative of the oracle away from
-  /// the sigmoid clamp rails, which the tier's statistical-equivalence
-  /// gate absorbs. poly_rx_ is false when the transition widths failed
-  /// setup validation, so the batched tier still throws exactly as
-  /// the oracle does.
-  template <bool kLog>
-  double rx_prob(int li, node_id sender, node_id receiver, int ci,
-                 channel_t ch, double signal, std::size_t begin,
+  /// [begin, begin + count) of the collected powers. Oracle:
+  /// phy::reception_probability verbatim over dBm powers
+  /// (bit-identity). Batched: the same standalone x capture-sigmoid
+  /// product with every libm call eliminated — the standalone sigmoid
+  /// is the dense p0, the SINR denominator sums milliwatt powers
+  /// (interferer conversions are memoized at their source: ext_power_
+  /// at setup, cross_ per run), and mw_to_dbm plus the capture sigmoid
+  /// go through the branch-free poly_log / batch_sigmoid kernels.
+  /// Within ~1e-13 relative of the oracle away from the sigmoid clamp
+  /// rails, which the tier's statistical-equivalence gate absorbs.
+  double rx_prob(int li, int ci, double signal, std::size_t begin,
                  std::size_t count) {
-    if (!poly_rx_)
+    if constexpr (k_batched) {
+      double denom_mw = noise_mw_;
+      for (std::size_t k = 0; k < count; ++k) denom_mw += powers_[begin + k];
+      const double sinr =
+          signal - batch_detail::poly_log(denom_mw) * k_10_over_ln10;
+      return p0(li, ci) * batch_sigmoid((sinr - cap_thresh_) / cap_scale_);
+    } else {
+      (void)li;
+      (void)ci;
       return phy::reception_probability(capture_, signal,
                                         powers_.data() + begin, count);
-    double denom_mw = noise_mw_;
-    const double* mw = powers_mw_.data() + begin;
-    for (std::size_t k = 0; k < count; ++k) denom_mw += mw[k];
-    const double sinr =
-        signal - batch_detail::poly_log(denom_mw) * k_10_over_ln10;
-    return p0<kLog>(li, sender, receiver, ci, ch) *
-           batch_sigmoid((sinr - cap_thresh_) / cap_scale_);
-  }
-
-  /// Marks a (link, channel) coordinate as used by this run's slot
-  /// loop. The per-run used set feeds the next same-class run's
-  /// prefill: the (slot, offset) -> channel mapping repeats with
-  /// period |channels|, and the set of coordinates that actually fire
-  /// (primaries plus the retries whose primary failed) is far smaller
-  /// than the union of all entry coordinates, so tracking last use
-  /// keeps the prefill from wasting kernels on retries that rarely
-  /// fire.
-  void mark_used(int id, int packed) {
-    char& mark = run_used_mark_[static_cast<std::size_t>(id)];
-    if (!mark) {
-      mark = 1;
-      run_used_ids_.push_back(packed);
     }
   }
 
-  /// Batch fill of one coordinate's signal and clean reception
-  /// probability (prefill and probe-batch path; requires
-  /// p0_inline_ok_). Iterations over distinct coordinates are
-  /// independent, so consecutive fills pipeline the fade kernels'
-  /// log/cos chains instead of paying their serial latency per miss.
-  /// `packed` is (li << 8) | ci — channel positions fit 8 bits — so
-  /// unpacking is shift/mask instead of division by a runtime ncl.
-  void fill_coord(int packed) {
-    const int li = packed >> 8;
-    const int ci = packed & 255;
-    coord_cache& c =
-        link_coords_[static_cast<std::size_t>(li) *
-                         static_cast<std::size_t>(ncl_) +
-                     static_cast<std::size_t>(ci)];
-    const link_key& key = link_keys_[static_cast<std::size_t>(li)];
-    const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
-    if (!c.base_ready) {
-      c.base = topo_.rssi_dbm(key.sender, key.receiver, ch) +
-               drift(key.sender, key.receiver, ci, ch);
-      c.base_ready = 1;
+  /// Appends the power of every active interferer that overlaps list
+  /// position ci, as heard at `receiver`, to powers_. `row` is the
+  /// sample point's activity row (unread when there are no
+  /// interferers).
+  void add_external(const char* row, int ci, node_id receiver) {
+    for (int k = 0; k < num_intf_; ++k) {
+      if (!row[k]) continue;
+      if (!ext_overlap_[static_cast<std::size_t>(k) *
+                            static_cast<std::size_t>(ncl_) +
+                        static_cast<std::size_t>(ci)])
+        continue;
+      powers_.push_back(ext_power_[static_cast<std::size_t>(k) *
+                                       static_cast<std::size_t>(n_) +
+                                   static_cast<std::size_t>(receiver)]);
     }
-    c.sig = c.base + (fade_on_ ? fade(key.sender, key.receiver, ch) : 0.0);
-    c.sig_epoch = epoch_;
-    c.p0 = phy::clamped_sigmoid((c.sig - p0_sens_) / p0_scale_);
-    c.p0_epoch = epoch_;
+  }
+
+  /// Interferer activity of the run's next sample point (slots first,
+  /// then probes), one row each. The oracle tier samples it from the
+  /// main gen stream in naive order; the batched tier pre-generated the
+  /// run's rows from a derived stream (refresh_interferer_rows).
+  const char* next_activity_row(rng& gen, int run) {
+    char* row = intf_active_.data() +
+                intf_cursor_ * static_cast<std::size_t>(num_intf_);
+    ++intf_cursor_;
+    if constexpr (!k_batched) {
+      field_.sample_active(gen, row);
+      if (run < config_.interferer_start_run)
+        std::fill(row, row + num_intf_, char{0});
+    }
+    return row;
+  }
+
+  /// Batched-tier interferer activity: the duty-cycle Bernoullis for a
+  /// whole run are generated here in one vectorized uniform pass from
+  /// a derived per-run stream — derive_seed(seed, interferer stream,
+  /// run) — instead of draw-by-draw from the main gen stream. Row r is
+  /// the activity handed out by the r-th sample point of the run, so
+  /// the process keeps the oracle's structure: independent
+  /// Bernoulli(duty_cycle) per interferer per sample point,
+  /// deterministic per (config, run).
+  void refresh_interferer_rows(int run) {
+    if (run < config_.interferer_start_run) {
+      std::fill(intf_active_.begin(), intf_active_.end(), char{0});
+      return;
+    }
+    const std::size_t total = intf_u_.size();
+    batch_uniform01s(derive_seed(config_.seed, k_interferer_stream,
+                                 static_cast<std::uint64_t>(run)),
+                     total, intf_u_.data());
+    for (std::size_t i = 0; i < total; ++i) {
+      intf_active_[i] =
+          intf_u_[i] < intf_duty_[i % intf_duty_.size()] ? char{1} : char{0};
+    }
+  }
+
+  /// Batched-tier setup: the poly SINR constants, the drift table, the
+  /// dense (link, channel) tables, and the interferer row scratch.
+  void setup_batched(std::size_t max_probes) {
+    // The noise-floor term of the SINR denominator is run-invariant,
+    // so it is converted once here.
+    cap_thresh_ = capture_.capture_threshold_db;
+    cap_scale_ = capture_.transition_width_db / 4.0;
+    noise_mw_ = batch_detail::poly_exp(capture_.link.noise_floor_dbm *
+                                       k_ln10_over_10);
+    probe_uu_.resize(2 * max_probes);
+    if (!drift_zero_) prefill_drift_batched();
+    // Pair keys, channels and bases (rssi + drift) never change across
+    // runs. With fading on, the run prefix enters inside
+    // batch_fade_fill each run; with fading off the signal and clean
+    // PRR are filled once here through the same scalar element
+    // transforms.
+    dense_base_.resize(coord_count_);
+    dense_sig_.resize(coord_count_);
+    dense_p0_.resize(coord_count_);
+    if (fade_on_) {
+      dense_pk_.resize(coord_count_);
+      dense_ch_.resize(coord_count_);
+    }
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const link_key& key = link_keys_[li];
+      const auto lo = static_cast<std::uint64_t>(
+          key.sender < key.receiver ? key.sender : key.receiver);
+      const auto hi = static_cast<std::uint64_t>(
+          key.sender < key.receiver ? key.receiver : key.sender);
+      for (int ci = 0; ci < ncl_; ++ci) {
+        const std::size_t id = li * static_cast<std::size_t>(ncl_) +
+                               static_cast<std::size_t>(ci);
+        const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
+        dense_base_[id] = topo_.rssi_dbm(key.sender, key.receiver, ch) +
+                          drift(key.sender, key.receiver, ci, ch);
+        if (fade_on_) {
+          dense_pk_[id] = lo << 32 | hi;
+          dense_ch_[id] = static_cast<std::uint64_t>(ch);
+        } else {
+          dense_sig_[id] = dense_base_[id] + 0.0;
+          dense_p0_[id] =
+              batch_sigmoid((dense_sig_[id] - p0_sens_) / p0_scale_);
+        }
+      }
+    }
+    intf_u_.resize(intf_active_.size());
+    for (int k = 0; k < num_intf_; ++k)
+      intf_duty_.push_back(field_.interferer(k).duty_cycle);
   }
 
   /// Batched-tier setup pass: fills the drift table for every
@@ -1493,10 +1290,10 @@ class fast_engine {
   /// batch over the drift seed chains. Link pairs are maintained by
   /// construction (the bitmap is built from the same link set), so the
   /// sigma is uniform and the intermittence draw does not apply; the
-  /// quadratic non-link pairs that cross_rssi touches stay lazy and go
+  /// quadratic non-link pairs that cross_power touches stay lazy and go
   /// through the batched element transform on miss, producing the same
-  /// values this pass would (compute_drift_db_batched is the element
-  /// function of this batch).
+  /// values this pass would (drift_db<batched> is the element function
+  /// of this batch).
   void prefill_drift_batched() {
     const double sigma = config_.maintained_drift_sigma_db;
     std::vector<std::uint64_t> seeds;
@@ -1528,152 +1325,135 @@ class fast_engine {
       drift_[idxs[j]] = sigma * vals[j];
   }
 
-  /// Batched-tier interferer activity: the duty-cycle Bernoullis for a
-  /// whole run are generated here in one vectorized uniform pass from
-  /// a derived per-run stream — derive_seed(seed, interferer stream,
-  /// run) — instead of draw-by-draw from the main gen stream. Row r is
-  /// the activity vector handed out by the r-th sample point of the
-  /// run (slot loop first, then probes), so the process keeps the
-  /// oracle's structure: independent Bernoulli(duty_cycle) per
-  /// interferer per sample point, deterministic per (config, run).
-  void refresh_interferer_rows(int run) {
-    intf_cursor_ = 0;
-    const std::size_t total = intf_u_.size();
-    if (run < config_.interferer_start_run) {
-      std::fill(intf_active_.begin(), intf_active_.end(), char{0});
-      return;
+  /// Oracle-tier coordinate index of a packed (li << 8) | ci id:
+  /// channel positions fit 8 bits, so unpacking is shift/mask instead
+  /// of division by a runtime ncl.
+  std::size_t coord_index(int packed) const {
+    return static_cast<std::size_t>(packed >> 8) *
+               static_cast<std::size_t>(ncl_) +
+           static_cast<std::size_t>(packed & 255);
+  }
+
+  /// Fills a coordinate's live signal and clean reception probability
+  /// for the current epoch. The signal is the naive live_rssi sum
+  /// (rssi + drift) + fade with the run-invariant left half cached, so
+  /// a fade epoch rollover is one add plus the fade kernel; the PRR
+  /// inlines phy::reception_probability's zero-interference path
+  /// (prr_from_rssi) with the parameter checks and the sigmoid scale
+  /// hoisted to setup. Fills of distinct coordinates are independent,
+  /// so the prefill and probe batches pipeline the fade kernels'
+  /// log/cos chains instead of paying their serial latency per miss.
+  void fill_coord(coord_cache& c, int packed) {
+    const link_key& key = link_keys_[static_cast<std::size_t>(packed >> 8)];
+    const int ci = packed & 255;
+    const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
+    if (!c.base_ready) {
+      c.base = topo_.rssi_dbm(key.sender, key.receiver, ch) +
+               drift(key.sender, key.receiver, ci, ch);
+      c.base_ready = 1;
     }
-    batch_uniform01s(derive_seed(config_.seed, k_interferer_stream,
-                                 static_cast<std::uint64_t>(run)),
-                     total, intf_u_.data());
-    const std::size_t num_intf = intf_duty_.size();
-    for (std::size_t i = 0; i < total; ++i) {
-      intf_active_[i] =
-          intf_u_[i] < intf_duty_[i % num_intf] ? char{1} : char{0};
+    c.sig = c.base + (fade_on_ ? fade(key.sender, key.receiver, ch) : 0.0);
+    c.p0 = phy::clamped_sigmoid((c.sig - p0_sens_) / p0_scale_);
+    c.epoch = epoch_;
+  }
+
+  /// Marks a (link, channel) coordinate as used by this run's slot
+  /// loop (oracle tier, fading on). The per-run used set feeds the
+  /// next same-class run's prefill; the set of coordinates that
+  /// actually fire (primaries plus the retries whose primary failed) is
+  /// far smaller than the union of all entry coordinates, so tracking
+  /// last use keeps the prefill from wasting kernels on retries that
+  /// rarely fire.
+  void mark_used(int packed) {
+    char& mark = run_used_mark_[coord_index(packed)];
+    if (!mark) {
+      mark = 1;
+      run_used_ids_.push_back(packed);
     }
   }
 
-  /// Copies the next pre-generated activity row into the shared
-  /// interferers_active_ scratch (same buffer both tiers read).
-  void next_interferer_row() {
-    const std::size_t num_intf = intf_duty_.size();
-    const char* row = intf_active_.data() + intf_cursor_ * num_intf;
-    ++intf_cursor_;
-    interferers_active_.assign(row, row + num_intf);
+  /// Oracle-tier memo entry of (link, channel position), filled for
+  /// the current epoch. kLog tracks the coordinate in the per-run used
+  /// set feeding the hopping-class prefill (slot-loop callers only;
+  /// probe channels are uniform draws with no cross-run structure).
+  template <bool kLog>
+  const coord_cache& coord(int li, int ci) {
+    const int packed = (li << 8) | ci;
+    coord_cache& c = link_coords_[coord_index(packed)];
+    if (kLog && fade_on_) mark_used(packed);
+    if (c.epoch == epoch_) {
+      ++obs_cache_hits_;
+    } else {
+      fill_coord(c, packed);
+    }
+    return c;
   }
 
   /// Effective RSSI at experiment time for a schedule link: same sum,
-  /// same order as the oracle's live_rssi (base + drift + fade),
-  /// cached per (link, channel position, fade epoch). kLog tracks the
-  /// coordinate in the per-run used set feeding the hopping-class
-  /// prefill (slot-loop callers only; probe channels are uniform
-  /// draws with no cross-run structure).
-  template <bool kLog>
-  double link_signal(int li, node_id sender, node_id receiver, int ci,
-                     channel_t ch) {
-    const int id = li * ncl_ + ci;
-    if (dense_on_) return dense_sig_[static_cast<std::size_t>(id)];
-    coord_cache& c = link_coords_[static_cast<std::size_t>(id)];
-    if constexpr (kLog) {
-      if (prefill_on_) mark_used(id, (li << 8) | ci);
+  /// same order as the naive live_rssi (base + drift + fade).
+  template <bool kLog = false>
+  double link_signal(int li, int ci) {
+    if constexpr (k_batched) {
+      return dense_sig_[static_cast<std::size_t>(li * ncl_ + ci)];
+    } else {
+      return coord<kLog>(li, ci).sig;
     }
-    if (c.sig_epoch == epoch_) {
-      ++obs_cache_hits_;
-      return c.sig;
-    }
-    // The oracle sums (rssi + drift) + fade; the run-invariant left
-    // half is cached so a fade epoch rollover is one add plus the
-    // fade kernel.
-    if (!c.base_ready) {
-      c.base = topo_.rssi_dbm(sender, receiver, ch) +
-               drift(sender, receiver, ci, ch);
-      c.base_ready = 1;
-    }
-    c.sig = c.base + (fade_on_ ? fade(sender, receiver, ch) : 0.0);
-    c.sig_epoch = epoch_;
-    return c.sig;
   }
 
-  /// Effective RSSI of a concurrent sender into another link's
-  /// receiver (in-network interference cross product). These pairs are
-  /// not schedule links, so the link-coordinate table has no slot for
-  /// them, but the sum is still pure per (sender, receiver, position)
-  /// within a run — the same collisions repeat every period of a
-  /// hyperperiod, so an epoch-gated memo over the directed pair space
-  /// turns all repeats into a table read (the first touch computes the
-  /// identical oracle sum, so bit-identity is unaffected). The table
-  /// is allocated on first collision: contention-free schedules never
-  /// pay the quadratic footprint.
-  std::size_t cross_index(node_id sender, node_id receiver,
-                          int ci) const {
-    return (static_cast<std::size_t>(sender) *
-                static_cast<std::size_t>(n_) +
-            static_cast<std::size_t>(receiver)) *
-               static_cast<std::size_t>(ncl_) +
-           static_cast<std::size_t>(ci);
+  /// Reception probability with zero concurrent interference — the
+  /// common case on contention-free cells and probes. In the oracle
+  /// tier bit-identical to phy::reception_probability(capture,
+  /// live_rssi, {}) by construction (the empty-interference path of
+  /// the same function); in the batched tier the batch_sigmoid image
+  /// of the same signal.
+  template <bool kLog = false>
+  double p0(int li, int ci) {
+    if constexpr (k_batched) {
+      return dense_p0_[static_cast<std::size_t>(li * ncl_ + ci)];
+    } else {
+      return coord<kLog>(li, ci).p0;
+    }
   }
 
-  double cross_rssi(node_id sender, node_id receiver, int ci,
-                    channel_t ch) {
+  /// Interference power of a concurrent sender into another link's
+  /// receiver (in-network interference cross product), in the unit the
+  /// tier's rx_prob sums: dBm for the oracle, milliwatts for batched
+  /// (converted once per (pair, position, run) here instead of per
+  /// reception). These pairs are not schedule links, so the
+  /// link-coordinate tables have no slot for them, but the value is
+  /// still pure per (sender, receiver, position) within a run — the
+  /// same collisions repeat every period of a hyperperiod, so an
+  /// epoch-gated memo over the directed pair space turns all repeats
+  /// into a table read (the first touch computes the identical naive
+  /// sum, so bit-identity is unaffected). The table is allocated on
+  /// first collision: contention-free schedules never pay the
+  /// quadratic footprint.
+  double cross_power(node_id sender, node_id receiver, int ci) {
     if (cross_epoch_.empty()) {
       const std::size_t cells = static_cast<std::size_t>(n_) *
                                 static_cast<std::size_t>(n_) *
                                 static_cast<std::size_t>(ncl_);
-      // Uninitialized like drift_: the zeroed epoch bytes gate reads.
-      cross_sig_.reset(new double[cells]);
-      if (poly_rx_) cross_mw_.reset(new double[cells]);
+      // Uninitialized like drift_: the zeroed epoch words gate reads.
+      cross_.reset(new double[cells]);
       cross_epoch_.assign(cells, 0);
     }
-    const std::size_t idx = cross_index(sender, receiver, ci);
+    const std::size_t idx =
+        (static_cast<std::size_t>(sender) * static_cast<std::size_t>(n_) +
+         static_cast<std::size_t>(receiver)) *
+            static_cast<std::size_t>(ncl_) +
+        static_cast<std::size_t>(ci);
     if (cross_epoch_[idx] == epoch_) {
       ++obs_cache_hits_;
-      return cross_sig_[idx];
+      return cross_[idx];
     }
+    const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
     const double sig = topo_.rssi_dbm(sender, receiver, ch) +
                        drift(sender, receiver, ci, ch) +
                        (fade_on_ ? fade(sender, receiver, ch) : 0.0);
-    cross_sig_[idx] = sig;
-    // The poly SINR path consumes interference in milliwatts; convert
-    // once per (pair, position, run) here instead of per reception.
-    if (poly_rx_)
-      cross_mw_[idx] = batch_detail::poly_exp(sig * k_ln10_over_10);
+    cross_[idx] =
+        k_batched ? batch_detail::poly_exp(sig * k_ln10_over_10) : sig;
     cross_epoch_[idx] = epoch_;
-    return sig;
-  }
-
-  /// Reception probability with zero concurrent interference — the
-  /// common case on contention-free cells and probes. Bit-identical to
-  /// phy::reception_probability(capture, live_rssi, {}) by construction
-  /// (the empty-interference path of the same function), cached like
-  /// the signal itself.
-  template <bool kLog = false>
-  double p0(int li, node_id sender, node_id receiver, int ci,
-            channel_t ch) {
-    const int id = li * ncl_ + ci;
-    if (dense_on_) return dense_p0_[static_cast<std::size_t>(id)];
-    coord_cache& c = link_coords_[static_cast<std::size_t>(id)];
-    if constexpr (kLog) {
-      if (prefill_on_) mark_used(id, (li << 8) | ci);
-    }
-    if (c.p0_epoch == epoch_) {
-      ++obs_cache_hits_;
-      return c.p0;
-    }
-    const double signal =
-        link_signal<false>(li, sender, receiver, ci, ch);
-    if (p0_inline_ok_) {
-      // Inline of phy::reception_probability's zero-interference path,
-      // i.e. prr_from_rssi: identical expressions with the parameter
-      // checks and the sigmoid scale hoisted to setup. The batched
-      // tier routes the sigmoid through the batch element kernel so a
-      // lazy miss and a bulk fill produce the same value.
-      const double x = (signal - p0_sens_) / p0_scale_;
-      c.p0 = batched_ ? batch_sigmoid(x) : phy::clamped_sigmoid(x);
-    } else {
-      c.p0 = phy::reception_probability(capture_, signal, nullptr, 0);
-    }
-    c.p0_epoch = epoch_;
-    return c.p0;
+    return cross_[idx];
   }
 
   const topo::topology& topo_;
@@ -1683,6 +1463,7 @@ class fast_engine {
   const int ncl_;  ///< channel list length (== schedule offsets)
   const slot_t hp_;
   interference_field field_;
+  const int num_intf_;
   fault_state faults_;
   const bool faults_on_;  ///< plan non-empty: gates the link_down calls
   phy::capture_params capture_;
@@ -1692,84 +1473,73 @@ class fast_engine {
   std::vector<link_key> link_keys_;  ///< dense link index -> key, sorted
   std::vector<char> maintained_;     ///< unordered pair bitmap (lo*n+hi)
   std::vector<channel_t> list_chan_;  ///< list position -> channel value
-
-  bool drift_zero_ = false;
-  bool fade_on_ = false;
-  // Memo tables, all keyed by channel-list position. The drift double
-  // array is allocated uninitialized and gated by its ready bytes; the
-  // coordinate structs are value-initialized (epochs at 0 gate every
-  // read).
-  std::unique_ptr<double[]> drift_;  ///< (pair, position) -> drift dB
-  std::vector<char> drift_ready_;
-  // Cross-interference memo (directed pair, position), allocated on
-  // first collision; epoch-gated like the link coordinate caches.
-  std::unique_ptr<double[]> cross_sig_;
-  std::unique_ptr<double[]> cross_mw_;  ///< poly path: dbm_to_mw memo
-  std::vector<std::uint32_t> cross_epoch_;
-  std::unique_ptr<coord_cache[]> link_coords_;  ///< (link, position)
-  bool p0_inline_ok_ = false;  ///< transition widths validated at setup
-  double p0_scale_ = 1.0;      ///< link transition width / 4
-  double p0_sens_ = 0.0;       ///< link sensitivity dBm
-  std::uint64_t probe_range_ = 1;      ///< |channels| for probe draws
-  std::uint64_t probe_threshold_ = 0;  ///< Lemire rejection threshold
-  fade_run_prefix fade_prefix_;  ///< per-run fade seed chain prefix
-  std::uint32_t epoch_ = 1;  ///< current cache epoch (run+1 with fading)
-  int run_class_ = 0;        ///< (run * hp) mod |channels|
-  std::size_t coord_count_ = 0;  ///< |links| * |channels|
-  // Per-hopping-class prefill logs: the coordinate working set of the
-  // last run in each class, batch-filled at the start of the next run
-  // of the same class (the (slot, offset) -> channel mapping repeats
-  // with period |channels|, so the working set is near-stationary).
-  bool prefill_on_ = false;  ///< fade_on_ && p0_inline_ok_
-  std::vector<std::vector<int>> class_log_;  ///< class -> packed ids
-  std::vector<char> run_used_mark_;  ///< per-run coord usage bitmap
-  std::vector<int> run_used_ids_;    ///< packed ids used this run
-  // Probe-batch scratch (pre-reserved): recorded channel picks and
-  // Bernoulli uniforms, and the deduplicated coordinate fill queue.
-  std::vector<int> probe_ci_;
-  std::vector<double> probe_u_;
-  std::vector<int> miss_queue_;
   std::vector<int> prog_offset_;     ///< flow -> progress_ base index
   std::vector<int> flow_instances_;  ///< flow -> instances per hyperperiod
   std::vector<int> route_len_;       ///< flow -> route length
   std::vector<int> progress_;  ///< flat (flow, instance) hop progress
 
-  std::vector<char> ext_overlap_;   ///< (interferer, list position)
-  std::vector<double> ext_power_;   ///< (interferer, node) -> dBm
-  std::vector<double> ext_power_mw_;  ///< poly path: same table in mW
+  bool drift_zero_ = false;
+  bool fade_on_ = false;
+  std::unique_ptr<double[]> drift_;  ///< (pair, position) -> drift dB
+  std::vector<char> drift_ready_;
+  // Cross-interference memo (directed pair, position), allocated on
+  // first collision.
+  std::unique_ptr<double[]> cross_;
+  std::vector<std::uint32_t> cross_epoch_;
+  double p0_scale_ = 1.0;  ///< link transition width / 4
+  double p0_sens_ = 0.0;   ///< link sensitivity dBm
+  fade_run_prefix fade_prefix_;  ///< per-run fade seed chain prefix
+  std::uint32_t epoch_ = 1;  ///< current cache epoch (run+1 with fading)
+  int run_base_ = 0;         ///< (run * hp) mod |channels|: hopping class
+  std::size_t coord_count_ = 0;  ///< |links| * |channels|
+
+  std::vector<char> ext_overlap_;  ///< (interferer, list position)
+  std::vector<double> ext_power_;  ///< (interferer, node), tier unit
+  std::vector<char> intf_active_;  ///< (sample row, interferer) activity
+  std::size_t intf_cursor_ = 0;    ///< next unused activity row
+
+  // Probe records (phase 1 output): channel position, Bernoulli
+  // threshold, and interferer activity row per probe.
+  std::vector<int> probe_ci_;
+  std::vector<double> probe_u_;
+  std::vector<const char*> probe_row_;
 
   // Reusable per-slot scratch (pre-reserved, cleared in place).
   std::vector<const fast_entry*> active_;
   std::vector<int> active_chan_pos_;  ///< active entry -> list position
   std::vector<channel_t> active_chan_val_;
   std::vector<char> success_;
-  std::vector<double> powers_;
-  std::vector<double> powers_mw_;  ///< poly path: powers_ mirror in mW
-  std::vector<char> interferers_active_;
+  std::vector<double> powers_;  ///< interference powers, tier unit
 
   // Dense per-link accumulators and result-map pointer cache.
   std::vector<link_run_counts> counts_;
   std::vector<link_observations*> obs_cache_;
+  sim_result result_;
+  std::vector<long long> delivered_;
+  std::vector<long long> released_;
 
-  // Batched-tier state (DESIGN.md §10): bulk-fill scratch and the
-  // per-run pre-generated interferer activity table. All sized at
-  // setup; the steady-state loops never allocate in either tier.
-  bool batched_ = false;  ///< config.fade_kernel == batched
-  bool poly_rx_ = false;   ///< batched && p0_inline_ok_: poly SINR path
+  // Oracle-tier state: the (link, position) coordinate memo, the
+  // per-hopping-class prefill logs (the coordinate working set of the
+  // last run in each class, batch-filled at the start of the next run
+  // of the same class), and the probe fill queue.
+  std::unique_ptr<coord_cache[]> link_coords_;
+  std::vector<std::vector<int>> class_log_;  ///< class -> packed ids
+  std::vector<char> run_used_mark_;  ///< per-run coord usage bitmap
+  std::vector<int> run_used_ids_;    ///< packed ids used this run
+  std::vector<int> miss_queue_;      ///< probe coordinates to fill
+
+  // Batched-tier state (DESIGN.md §10).
   double cap_thresh_ = 0.0;  ///< capture threshold dB
   double cap_scale_ = 1.0;   ///< capture transition width / 4
   double noise_mw_ = 0.0;    ///< poly_exp image of the noise floor, mW
   std::vector<double> probe_uu_;  ///< derived probe stream scratch
-  bool dense_on_ = false;  ///< batched && fade_on_ && p0_inline_ok_
   std::vector<std::uint64_t> dense_pk_;  ///< pair key per coordinate
   std::vector<std::uint64_t> dense_ch_;  ///< channel per coordinate
   std::vector<double> dense_base_;  ///< rssi + drift per coordinate
-  std::vector<double> dense_sig_;   ///< this run's signals
-  std::vector<double> dense_p0_;    ///< this run's clean PRRs
-  std::vector<char> intf_active_;  ///< (sample row, interferer) activity
+  std::vector<double> dense_sig_;   ///< signal per coordinate
+  std::vector<double> dense_p0_;    ///< clean PRR per coordinate
   std::vector<double> intf_u_;     ///< uniform scratch for the rows
   std::vector<double> intf_duty_;  ///< interferer -> duty cycle
-  std::size_t intf_cursor_ = 0;    ///< next unread activity row
 
   std::uint64_t obs_active_transmissions_ = 0;
   std::uint64_t obs_internal_pairs_ = 0;
@@ -1798,17 +1568,7 @@ double compute_fade_db(const sim_config& config, int run, node_id a,
 /// health-report epoch).
 double compute_drift_db(const sim_config& config, bool maintained,
                         node_id a, node_id b, channel_t ch) {
-  const std::uint64_t pair_state = drift_pair_state(config.seed, a, b);
-  double u = 0.0;
-  if (!maintained) {
-    std::uint64_t s = pair_state;
-    rng pair_gen(splitmix64(s));
-    u = pair_gen.uniform01();
-  }
-  const double sigma = drift_sigma(config, maintained, u);
-  if (sigma <= 0.0) return 0.0;
-  rng chan_gen(drift_chan_seed(pair_state, ch));
-  return chan_gen.normal(0.0, sigma);
+  return drift_db<fade_kernel_kind::oracle>(config, maintained, a, b, ch);
 }
 
 void validate_sim_config(const sim_config& config) {
@@ -1835,8 +1595,8 @@ void validate_sim_config(const sim_config& config) {
   WSAN_REQUIRE(std::isfinite(config.capture_threshold_db),
                "capture threshold must be finite");
   WSAN_REQUIRE(std::isfinite(config.capture_transition_db) &&
-                   config.capture_transition_db >= 0.0,
-               "capture transition width must be finite and non-negative");
+                   config.capture_transition_db > 0.0,
+               "capture transition width must be finite and positive");
   validate_fault_plan(config.faults);
 }
 
@@ -1851,6 +1611,8 @@ sim_result run_simulation(const topo::topology& topo,
   WSAN_REQUIRE(static_cast<int>(channels.size()) == sched.num_offsets(),
                "channel list size must equal the schedule's offset count");
   validate_sim_config(config);
+  WSAN_REQUIRE(topo.link_model().transition_width_db > 0.0,
+               "link-model transition width must be positive");
   WSAN_REQUIRE(config.use_fast_path ||
                    config.fade_kernel == fade_kernel_kind::oracle,
                "the batched fade-kernel tier is a mode of the fast "
@@ -1858,8 +1620,14 @@ sim_result run_simulation(const topo::topology& topo,
 
   if (!config.use_fast_path)
     return run_simulation_naive(topo, sched, flows, channels, config);
-  fast_engine engine(topo, sched, flows, channels, config);
-  return engine.run();
+  if (config.fade_kernel == fade_kernel_kind::batched) {
+    return fast_engine<fade_kernel_kind::batched>(topo, sched, flows,
+                                                  channels, config)
+        .run();
+  }
+  return fast_engine<fade_kernel_kind::oracle>(topo, sched, flows, channels,
+                                               config)
+      .run();
 }
 
 }  // namespace wsan::sim

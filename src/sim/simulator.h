@@ -237,14 +237,17 @@ double compute_drift_db(const sim_config& config, bool maintained,
 
 /// Validates the configuration's numeric invariants (positive run count,
 /// non-negative and finite sigmas, intermittent fraction in [0, 1],
-/// non-negative probe count and interferer onset, a structurally valid
-/// fault plan). Throws std::invalid_argument on violation — hostile
+/// finite capture threshold, finite and positive capture transition
+/// width, non-negative probe count and interferer onset, a structurally
+/// valid fault plan). Throws std::invalid_argument on violation — hostile
 /// configurations must fail loudly, never silently produce garbage.
 void validate_sim_config(const sim_config& config);
 
 /// Runs the simulation. The schedule must have been produced for exactly
 /// these flows (validated: every placement must reference a known flow),
-/// and the configuration must pass validate_sim_config.
+/// the configuration must pass validate_sim_config, and the topology's
+/// link-model transition width must be positive; all three are checked
+/// before either engine is built.
 sim_result run_simulation(const topo::topology& topo,
                           const tsch::schedule& sched,
                           const std::vector<flow::flow>& flows,

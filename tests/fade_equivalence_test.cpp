@@ -169,6 +169,96 @@ TEST(FadeEquivalence, BatchedTierIsDeterministic) {
   EXPECT_TRUE(first == second);
 }
 
+/// FNV-1a over every output channel of a sim_result, doubles by bit
+/// pattern, in map order.
+std::uint64_t result_digest(const sim::sim_result& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto feed = [&](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto feed_d = [&](double d) {
+    feed(std::bit_cast<std::uint64_t>(d));
+  };
+  const auto feed_i = [&](long long v) {
+    feed(static_cast<std::uint64_t>(v));
+  };
+  for (const double p : r.flow_pdr) feed_d(p);
+  for (const auto& [key, obs] : r.links) {
+    feed_i(key.sender);
+    feed_i(key.receiver);
+    for (const auto* samples : {&obs.reuse_samples, &obs.cf_samples}) {
+      feed_i(static_cast<long long>(samples->size()));
+      for (const auto& [run, prr] : *samples) {
+        feed_i(run);
+        feed_d(prr);
+      }
+    }
+    feed_i(obs.reuse_attempts);
+    feed_i(obs.reuse_successes);
+    feed_i(obs.cf_attempts);
+    feed_i(obs.cf_successes);
+    feed_d(obs.expected_loss_internal);
+    feed_d(obs.expected_loss_external);
+  }
+  feed_i(r.instances_released);
+  feed_i(r.instances_delivered);
+  for (const double mj : r.energy.per_node_mj) feed_d(mj);
+  feed_i(r.energy.data_transmissions);
+  feed_i(r.energy.idle_listens);
+  feed_d(r.energy.total_mj);
+  return h;
+}
+
+TEST(FadeEquivalence, BatchedOutputIsPinned) {
+  // Exact batched-tier outputs, pinned so restructuring the engine
+  // cannot move them. Fading and drift are off: those configurations
+  // run only the inlined scalar poly kernels and the exact uniform
+  // stream, never the target_clones bulk kernels, whose FMA clones
+  // would make the bits depend on the host ISA.
+  const auto& w = shared_world();
+  sim::fault_plan faults;
+  const auto& first = w.sched.placements().front();
+  const auto& last = w.sched.placements().back();
+  faults.crashes.push_back({first.tx.sender, 3, 7});
+  faults.link_failures.push_back({last.tx.sender, last.tx.receiver, 2, -1});
+  faults.suppressions.push_back({first.tx.receiver, 5, 9});
+  faults.jams.push_back({first.slot, 1, 6});
+
+  // Order: (faults, interferers, probes) over
+  // {off, on} x {off, on} x {0, 2}.
+  const std::uint64_t expected[8] = {
+      17513511233340545681ULL, 13629579949949931665ULL,
+      3225799647515893904ULL,  1885634592886257308ULL,
+      13890614494899684273ULL, 18421092503519621768ULL,
+      6560802018239909494ULL,  10062636406367943757ULL,
+  };
+  int i = 0;
+  for (const bool use_faults : {false, true}) {
+    for (const bool use_interferers : {false, true}) {
+      for (const int probes : {0, 2}) {
+        auto config = gate_config(77, sim::fade_kernel_kind::batched);
+        config.temporal_fading_sigma_db = 0.0;
+        config.calibration_drift_sigma_db = 0.0;
+        config.maintained_drift_sigma_db = 0.0;
+        config.intermittent_sigma_db = 0.0;
+        config.probes_per_run = probes;
+        if (use_faults) config.faults = faults;
+        if (use_interferers) {
+          config.interferers = sim::one_interferer_per_floor(w.topology);
+          config.interferer_start_run = 4;
+        }
+        EXPECT_EQ(result_digest(run_world(config)), expected[i])
+            << "faults=" << use_faults << " intf=" << use_interferers
+            << " probes=" << probes;
+        ++i;
+      }
+    }
+  }
+}
+
 TEST(FadeEquivalence, BatchedRequiresFastEngine) {
   auto config = gate_config(1, sim::fade_kernel_kind::batched);
   config.use_fast_path = false;

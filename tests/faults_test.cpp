@@ -533,6 +533,7 @@ TEST(SimConfig, ValidatesNumericInvariants) {
     c.capture_threshold_db = std::numeric_limits<double>::infinity();
   });
   expect_rejected([](sim_config& c) { c.capture_transition_db = -1.0; });
+  expect_rejected([](sim_config& c) { c.capture_transition_db = 0.0; });
   expect_rejected([](sim_config& c) {
     c.faults.crashes.push_back(node_crash{0, -1, -1});
   });

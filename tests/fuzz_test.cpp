@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "exp/json.h"
 #include "flow/flow_io.h"
 #include "graph/hop_matrix.h"
 #include "sim/faults.h"
@@ -61,6 +62,43 @@ void expect_clean_failure_or_success(Loader loader, int seed_base,
   }
 }
 
+/// Two nodes with a perfect link on every channel, one flow over it,
+/// and one scheduled transmission.
+struct pair_world {
+  topo::topology t{"pair"};
+  std::vector<channel_t> channels = phy::channels(4);
+  flow::flow f;
+  tsch::schedule sched{10, 4};
+
+  pair_world() {
+    t.add_node({0.0, 0.0, 0});
+    t.add_node({10.0, 0.0, 0});
+    for (channel_t ch : channels) {
+      t.set_prr(0, 1, ch, 1.0);
+      t.set_prr(1, 0, ch, 1.0);
+    }
+    f.id = 0;
+    f.source = 0;
+    f.destination = 1;
+    f.period = 10;
+    f.deadline = 10;
+    f.route = {flow::link{0, 1}};
+    f.uplink_links = 1;
+    tsch::transmission tx;
+    tx.flow = 0;
+    tx.instance = 0;
+    tx.link_index = 0;
+    tx.attempt = 0;
+    tx.sender = 0;
+    tx.receiver = 1;
+    sched.add(tx, 0, 0);
+  }
+
+  sim::sim_result run(const sim::sim_config& config) const {
+    return sim::run_simulation(t, sched, {f}, channels, config);
+  }
+};
+
 TEST(Fuzz, ScheduleLoaderSurvivesGarbage) {
   expect_clean_failure_or_success(
       [](std::istream& is) { return tsch::load_schedule(is); }, 1000,
@@ -77,6 +115,53 @@ TEST(Fuzz, TopologyLoaderSurvivesGarbage) {
   expect_clean_failure_or_success(
       [](std::istream& is) { return topo::load_topology(is); }, 3000,
       300);
+}
+
+TEST(Fuzz, TopologyLoaderRejectsNonPositiveTransitionWidth) {
+  // A zero or negative link-model transition width would make every
+  // reception throw mid-simulation; the loader refuses it up front,
+  // naming the line.
+  for (const char* width : {"0", "-2.5", "nan"}) {
+    std::stringstream in(std::string("topology t\n"
+                                     "params 40 1 3 15 4 2 -90 -98 ") +
+                         width + " 0\nnode 0 0 0 0\n");
+    try {
+      topo::load_topology(in);
+      ADD_FAILURE() << "width " << width << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A topology built in code with such a width is refused by the
+  // simulator before either engine runs.
+  pair_world w;
+  auto lm = w.t.link_model();
+  for (const bool fast : {true, false}) {
+    sim::sim_config config;
+    config.runs = 2;
+    config.use_fast_path = fast;
+    lm.transition_width_db = 0.0;
+    w.t.set_link_model(lm);
+    EXPECT_THROW(w.run(config), std::invalid_argument);
+    lm.transition_width_db = 5.0;
+    w.t.set_link_model(lm);
+    EXPECT_NO_THROW(w.run(config));
+  }
+}
+
+TEST(Fuzz, JsonParserRejectsDeepNesting) {
+  // 100,000 nested arrays used to overflow the stack; the parser now
+  // stops at a fixed depth with a clean error.
+  EXPECT_THROW(exp::json::parse(std::string(100000, '[')),
+               std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"k\":";
+  EXPECT_THROW(exp::json::parse(objects), std::invalid_argument);
+  // Shallow nesting still parses.
+  const auto v = exp::json::parse(std::string(64, '[') +
+                                  std::string(64, ']'));
+  EXPECT_TRUE(v.is_array());
 }
 
 TEST(Fuzz, FaultPlanLoaderSurvivesGarbage) {
@@ -127,37 +212,12 @@ TEST(Fuzz, FaultPlanRoundTripsRandomValidPlans) {
 TEST(Fuzz, AllNodesCrashedDeliversNothing) {
   // The harshest plan: every node dead from run 0. No packet is ever
   // delivered and nobody reports anything.
-  topo::topology t("pair");
-  t.add_node({0.0, 0.0, 0});
-  t.add_node({10.0, 0.0, 0});
-  const auto channels = phy::channels(4);
-  for (channel_t ch : channels) {
-    t.set_prr(0, 1, ch, 1.0);
-    t.set_prr(1, 0, ch, 1.0);
-  }
-  flow::flow f;
-  f.id = 0;
-  f.source = 0;
-  f.destination = 1;
-  f.period = 10;
-  f.deadline = 10;
-  f.route = {flow::link{0, 1}};
-  f.uplink_links = 1;
-  tsch::schedule sched(10, 4);
-  tsch::transmission tx;
-  tx.flow = 0;
-  tx.instance = 0;
-  tx.link_index = 0;
-  tx.attempt = 0;
-  tx.sender = 0;
-  tx.receiver = 1;
-  sched.add(tx, 0, 0);
-
+  pair_world w;
   sim::sim_config config;
   config.runs = 20;
   config.faults.crashes.push_back(sim::node_crash{0, 0, -1});
   config.faults.crashes.push_back(sim::node_crash{1, 0, -1});
-  const auto result = sim::run_simulation(t, sched, {f}, channels, config);
+  const auto result = w.run(config);
   EXPECT_EQ(result.instances_delivered, 0);
   EXPECT_DOUBLE_EQ(result.flow_pdr[0], 0.0);
   EXPECT_TRUE(result.links.empty());

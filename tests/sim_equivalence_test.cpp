@@ -222,31 +222,37 @@ TEST(SimAllocations, FastEngineSlotLoopIsAllocationFree) {
   // Marginal allocations of extra runs: the naive engine allocates per
   // slot (scratch vectors, map nodes, derived-RNG lambdas returning
   // vectors), so doubling the runs roughly doubles its allocations. The
-  // fast engine's slot loop reuses its buffers — the only per-run
-  // allocations are the amortized growth of the per-run sample streams,
-  // orders of magnitude below one per slot.
+  // fast engine's slot and probe loops reuse their buffers in both
+  // kernel tiers — the only per-run allocations are the amortized
+  // growth of the per-run sample streams, orders of magnitude below one
+  // per slot.
   auto short_config = base_config(7, 10);
   auto long_config = base_config(7, 30);
-
-  short_config.use_fast_path = true;
-  long_config.use_fast_path = true;
-  const auto fast_short = allocations_during(w, short_config);
-  const auto fast_long = allocations_during(w, long_config);
-  const auto fast_marginal = fast_long - fast_short;
 
   short_config.use_fast_path = false;
   long_config.use_fast_path = false;
   const auto naive_short = allocations_during(w, short_config);
   const auto naive_long = allocations_during(w, long_config);
   const auto naive_marginal = naive_long - naive_short;
-
   // Naive: several allocations per occupied slot across 20 extra runs.
   EXPECT_GT(naive_marginal, 1000u);
-  // Fast: the 20 extra runs cost only the amortized growth of the
-  // per-run sample streams — a handful of allocations per run, zero per
-  // slot, and a small fraction of the naive engine's appetite.
-  EXPECT_LT(fast_marginal, 20u * 10u);
-  EXPECT_LT(fast_marginal * 20, naive_marginal);
+
+  for (const auto tier :
+       {sim::fade_kernel_kind::oracle, sim::fade_kernel_kind::batched}) {
+    short_config.use_fast_path = true;
+    long_config.use_fast_path = true;
+    short_config.fade_kernel = tier;
+    long_config.fade_kernel = tier;
+    const auto fast_short = allocations_during(w, short_config);
+    const auto fast_long = allocations_during(w, long_config);
+    const auto fast_marginal = fast_long - fast_short;
+    // Fast: the 20 extra runs cost only the amortized growth of the
+    // per-run sample streams — a handful of allocations per run, zero
+    // per slot, and a small fraction of the naive engine's appetite.
+    const bool batched = tier == sim::fade_kernel_kind::batched;
+    EXPECT_LT(fast_marginal, 20u * 10u) << "batched=" << batched;
+    EXPECT_LT(fast_marginal * 20, naive_marginal) << "batched=" << batched;
+  }
 }
 
 }  // namespace
