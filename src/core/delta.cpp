@@ -1,5 +1,6 @@
 #include "core/delta.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -9,11 +10,14 @@
 
 namespace wsan::core {
 
-std::size_t delta_scheduler::placements_of(flow_id id) const {
-  std::size_t n = 0;
-  for (const auto& p : sched_.placements())
-    if (p.tx.flow == id) ++n;
-  return n;
+std::size_t delta_scheduler::first_placement_of(flow_id id) const {
+  const auto& log = sched_.placements();
+  return static_cast<std::size_t>(
+      std::partition_point(log.begin(), log.end(),
+                           [id](const tsch::schedule::placement& p) {
+                             return p.tx.flow < id;
+                           }) -
+      log.begin());
 }
 
 delta_scheduler::admit_outcome delta_scheduler::admit_flow(flow::flow f) {
@@ -25,11 +29,11 @@ delta_scheduler::admit_outcome delta_scheduler::admit_flow(flow::flow f) {
   const slot_t candidate_hp =
       flows_.empty() ? f.period : std::lcm(sched_.num_slots(), f.period);
 
-  if (flows_.empty() || !schedulable_ ||
-      candidate_hp != sched_.num_slots()) {
-    // The slot grid must be resized (or the base state is not a complete
-    // schedule): repair cannot be expressed as a greedy resumption, so
-    // run the oracle itself and adopt its result only on success.
+  if (flows_.empty() || candidate_hp != sched_.num_slots()) {
+    // The slot grid must be resized: repair cannot be expressed as a
+    // greedy resumption, so run the oracle itself and adopt its result
+    // only on success. (On a new grid RC's per-flow rho can change any
+    // flow's placements, so even an unschedulable base may admit.)
     auto candidate = flows_;
     candidate.push_back(std::move(f));
     auto full = schedule_flows(candidate, *reuse_hops_, config_);
@@ -40,10 +44,14 @@ delta_scheduler::admit_outcome delta_scheduler::admit_flow(flow::flow f) {
     out.id = candidate.back().id;
     sched_ = std::move(full.sched);
     flows_ = std::move(candidate);
-    schedulable_ = true;
-    out.placed = placements_of(out.id);
+    first_failed_ = k_invalid_flow;
+    out.placed = sched_.num_transmissions() - first_placement_of(out.id);
     return out;
   }
+
+  // Same grid, unschedulable base: a rerun on flows()+f would place the
+  // prefix identically and stop at first_failed_ before reaching f.
+  if (!schedulable()) return out;
 
   // Resume the greedy exactly where schedule_flows(flows_) stopped: the
   // new flow has the lowest priority, so its placements against the
@@ -51,13 +59,13 @@ delta_scheduler::admit_outcome delta_scheduler::admit_flow(flow::flow f) {
   // rejection verdict. On failure the partial placements are rolled
   // back, leaving the canonical state untouched.
   scheduler_stats stats;
-  const flow_id id = f.id;
+  const std::size_t mark = sched_.num_transmissions();
   if (!schedule_flow_into(sched_, f, *reuse_hops_, config_, stats)) {
-    sched_.remove_flow(id);
+    sched_.truncate(mark);
     return out;
   }
   out.admitted = true;
-  out.id = id;
+  out.id = f.id;
   out.placed = stats.total_transmissions;
   flows_.push_back(std::move(f));
   return out;
@@ -69,48 +77,44 @@ delta_scheduler::evict_outcome delta_scheduler::evict_flow(flow_id id) {
   if (id < 0 || static_cast<std::size_t>(id) >= flows_.size()) return out;
   out.evicted = true;
 
-  // Survivors with dense ids again: everything above `id` shifts down.
-  std::vector<flow::flow> remaining;
-  remaining.reserve(flows_.size() - 1);
-  for (const auto& fl : flows_) {
-    if (fl.id == id) continue;
-    remaining.push_back(fl);
-    remaining.back().id = static_cast<flow_id>(remaining.size() - 1);
-  }
+  // The victim's placements are one run of the flow-sorted log, and
+  // everything from its start on belongs to the victim or later flows.
+  const std::size_t cut = first_placement_of(id);
+  out.freed = first_placement_of(id + 1) - cut;
 
-  if (remaining.empty()) {
-    out.freed = sched_.num_transmissions();
+  // Survivors with dense ids again: everything above `id` shifts down.
+  flows_.erase(flows_.begin() + id);
+  for (std::size_t j = static_cast<std::size_t>(id); j < flows_.size(); ++j)
+    flows_[j].id = static_cast<flow_id>(j);
+
+  if (flows_.empty()) {
     sched_ = tsch::schedule();
-    flows_.clear();
-    schedulable_ = true;
+    first_failed_ = k_invalid_flow;
     return out;
   }
 
-  const slot_t new_hp = flow::hyperperiod(remaining);
-  if (!schedulable_ || new_hp != sched_.num_slots()) {
+  if (flow::hyperperiod(flows_) != sched_.num_slots()) {
     // Hyperperiod shrink (the evicted flow alone carried the longest
-    // period) or a non-schedulable base: rebuild on the oracle's grid.
-    out.freed = placements_of(id);
+    // period): rebuild on the oracle's grid.
     out.full_reschedule = true;
     obs::add_counter("core.delta.full_reschedules");
-    auto full = schedule_flows(remaining, *reuse_hops_, config_);
+    auto full = schedule_flows(flows_, *reuse_hops_, config_);
     sched_ = std::move(full.sched);
-    flows_ = std::move(remaining);
-    schedulable_ = full.schedulable;
+    first_failed_ = full.first_failed_flow;
     return out;
   }
 
-  // In-place repair. Free exactly the evicted flow's cells, then replay
-  // the lower-priority suffix: those are the only flows whose greedy
-  // placements saw the freed occupancy, and replaying them in priority
-  // order against the retained prefix reproduces the oracle's schedule
+  // Flows after the failed one have no placements: the greedy still
+  // stops at the same flow, which keeps its rank, so only the ids moved.
+  if (!schedulable() && id > first_failed_) return out;
+
+  // In-place repair. Cut the victim and the lower-priority suffix, then
+  // replay the suffix: those are the only flows whose greedy placements
+  // saw the freed occupancy, and replaying them in priority order
+  // against the retained prefix reproduces the oracle's schedule
   // placement-for-placement.
-  out.freed = sched_.remove_flow(id);
-  for (std::size_t j = static_cast<std::size_t>(id) + 1;
-       j < flows_.size(); ++j)
-    sched_.remove_flow(static_cast<flow_id>(j));
-  flows_ = std::move(remaining);
-  schedulable_ = true;
+  sched_.truncate(cut);
+  first_failed_ = k_invalid_flow;
   for (std::size_t i = static_cast<std::size_t>(id); i < flows_.size();
        ++i) {
     scheduler_stats stats;
@@ -118,7 +122,7 @@ delta_scheduler::evict_outcome delta_scheduler::evict_flow(flow_id id) {
                             stats)) {
       // Mirror schedule_flows: stop at the first failure; the failed
       // flow's partial placements stay, later flows are not attempted.
-      schedulable_ = false;
+      first_failed_ = static_cast<flow_id>(i);
       break;
     }
     ++out.rescheduled_flows;

@@ -7,28 +7,34 @@
 // O(all transmissions) per request. This module exploits a structural
 // property of the greedy scheduler: schedule_flows processes flows
 // strictly in priority order, and each flow's placements depend only on
-// the occupancy left by higher-priority flows. Hence
+// the occupancy left by higher-priority flows. The schedule's placement
+// log is therefore sorted by flow id, and every prefix of it is the
+// schedule of a prefix of the flows. Hence, on an unchanged slot grid,
 //
 //   * admitting a new lowest-priority flow is an exact *resumption* of
 //     the greedy (schedule_flow_into): only the new flow's transmissions
 //     are placed, against the existing occupancy index, and the result
 //     is placement-identical to a full schedule_flows rerun — including
-//     the rejection verdict;
-//   * evicting the lowest-priority flow frees exactly its cells
-//     (tsch::schedule::remove_flow decrements the load counters and
-//     clears the busy bits);
-//   * evicting a middle flow frees its cells and replays only the
-//     lower-priority suffix in place — the prefix placements, the grid,
-//     and the occupancy index are all retained.
+//     the rejection verdict. A rejected admission rolls back with one
+//     tsch::schedule::truncate to the pre-call placement count;
+//   * evicting a flow cuts the log with one truncate at the victim's
+//     first placement and replays only the lower-priority suffix in
+//     place — the prefix placements, the grid, and the occupancy index
+//     are all retained;
+//   * an unschedulable state holds the complete prefix before the flow
+//     where the greedy stopped (first_failed()) plus that flow's partial
+//     placements, and nothing of the flows after it. Admitting on it is
+//     rejected without work (a rerun would stop at the same flow before
+//     reaching the new one); evicting a flow after it only renumbers;
+//     evicting it or an earlier flow truncates and replays as above.
 //
 // The class maintains the canonical invariant that its (schedule,
-// schedulable) state always equals the schedule_flows result for its
-// current flow set, so the full reschedule stays available as an
-// equivalence oracle (tests/fleet_equivalence_test.cpp asserts
-// placement-level identity after randomized admit/evict traces). A full
-// schedule_flows rerun happens only when in-place repair cannot work:
-// the hyperperiod changes (the slot grid must be resized) or the state
-// is not a complete schedule (a previous repair ended unschedulable).
+// schedulable, first_failed) state always equals the schedule_flows
+// result for its current flow set, so the full reschedule stays
+// available as an equivalence oracle (tests/fleet_equivalence_test.cpp
+// asserts placement-level identity after randomized admit/evict
+// traces). A full schedule_flows rerun happens only when the
+// hyperperiod changes, because then the slot grid must be resized.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +60,7 @@ class delta_scheduler {
     /// Dense id assigned to the admitted flow (= flows().size()-1).
     flow_id id = k_invalid_flow;
     /// True when the repair required a full schedule_flows rerun
-    /// (hyperperiod growth or a non-schedulable base state).
+    /// (the first flow, or hyperperiod growth).
     bool full_reschedule = false;
     /// Transmissions placed for the new flow.
     std::size_t placed = 0;
@@ -73,7 +79,7 @@ class delta_scheduler {
     /// Lower-priority flows replayed in place to restore canonicity.
     std::size_t rescheduled_flows = 0;
     /// True when the repair required a full schedule_flows rerun
-    /// (hyperperiod shrink or a non-schedulable base state).
+    /// (hyperperiod shrink).
     bool full_reschedule = false;
   };
 
@@ -89,19 +95,26 @@ class delta_scheduler {
   /// after an eviction whose repair (or full rerun) failed — a greedy
   /// scheduling anomaly; admissions never leave a false state behind
   /// because they roll back.
-  bool schedulable() const { return schedulable_; }
+  bool schedulable() const { return first_failed_ == k_invalid_flow; }
+  /// The flow at which the greedy stopped (schedule_result's
+  /// first_failed_flow), or k_invalid_flow when schedulable().
+  flow_id first_failed() const { return first_failed_; }
   const scheduler_config& config() const { return config_; }
   std::size_t size() const { return flows_.size(); }
   bool empty() const { return flows_.empty(); }
 
  private:
-  std::size_t placements_of(flow_id id) const;
+  /// Index in sched_.placements() of the first placement of a flow
+  /// with id >= `id` (the log is sorted by flow id).
+  std::size_t first_placement_of(flow_id id) const;
 
   const graph::hop_matrix* reuse_hops_;
   scheduler_config config_;
   std::vector<flow::flow> flows_;  // dense ids == priority ranks
   tsch::schedule sched_;           // == schedule_flows(flows_).sched
-  bool schedulable_ = true;        // empty set is trivially schedulable
+  /// == schedule_flows(flows_).first_failed_flow; the empty set is
+  /// trivially schedulable.
+  flow_id first_failed_ = k_invalid_flow;
 };
 
 }  // namespace wsan::core

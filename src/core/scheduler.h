@@ -55,8 +55,9 @@ schedule_result schedule_flows(const std::vector<flow::flow>& flows,
 ///
 /// Returns false when some transmission cannot be placed by its
 /// deadline; placements made before the failure remain in `sched` (roll
-/// back with tsch::schedule::remove_flow(f.id) if the caller wants the
-/// pre-call state back). `stats` accumulates across calls.
+/// back with tsch::schedule::truncate to the pre-call num_transmissions()
+/// if the caller wants the pre-call state back). `stats` accumulates
+/// across calls.
 bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
                         const graph::hop_matrix& reuse_hops,
                         const scheduler_config& config,

@@ -24,8 +24,10 @@
 // Admissions and evictions go through the incremental delta-scheduling
 // API (core/delta.h) rather than full schedule_flows reruns; the
 // fleet.repair_fallbacks counter tracks how often a full rerun was
-// still needed (hyperperiod changes). Tenant flow priorities are
-// arrival-order (dense ids), matching the delta scheduler's model.
+// still needed, which happens only when the hyperperiod changes (an
+// unschedulable tenant is repaired in place too). Tenant flow
+// priorities are arrival-order (dense ids), matching the delta
+// scheduler's model.
 #pragma once
 
 #include <cstdint>

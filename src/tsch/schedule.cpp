@@ -1,7 +1,6 @@
 #include "tsch/schedule.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/error.h"
 
@@ -38,54 +37,39 @@ void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   mark_busy(tx.receiver, slot);
 }
 
-std::size_t schedule::remove_flow(flow_id flow) {
-  const auto is_flows = [flow](const transmission& tx) {
-    return tx.flow == flow;
-  };
-  // Touched slots/cells, deduplicated so each container is compacted
-  // once; the affected node set per slot drives the busy-bit repair.
-  std::set<std::size_t> touched_cells;
-  std::set<slot_t> touched_slots;
-  std::size_t removed = 0;
-  std::vector<placement> kept;
-  kept.reserve(placements_.size());
-  for (const auto& p : placements_) {
-    if (p.tx.flow != flow) {
-      kept.push_back(p);
-      continue;
-    }
-    ++removed;
-    touched_cells.insert(cell_index(p.slot, p.offset));
-    touched_slots.insert(p.slot);
-  }
-  if (removed == 0) return 0;
-  placements_ = std::move(kept);
-  for (const std::size_t ci : touched_cells) {
+void schedule::clear_busy(node_id node, slot_t slot) {
+  const auto row = static_cast<std::size_t>(node) * words_per_node_;
+  node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits] &=
+      ~(std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits));
+}
+
+void schedule::truncate(std::size_t n) {
+  WSAN_REQUIRE(n <= placements_.size(),
+               "truncate past the end of the placement log");
+  while (placements_.size() > n) {
+    const placement p = placements_.back();
+    placements_.pop_back();
+    const std::size_t ci = cell_index(p.slot, p.offset);
     auto& cell = cells_[ci];
-    cell.erase(std::remove_if(cell.begin(), cell.end(), is_flows),
-               cell.end());
-    cell_load_[ci] = static_cast<int>(cell.size());
+    auto& txs = slot_all_[static_cast<std::size_t>(p.slot)];
+    // add() appends to all three vectors, so the log's last entry is
+    // last in its cell and in its slot.
+    WSAN_CHECK(!cell.empty() && cell.back() == p.tx && !txs.empty() &&
+                   txs.back() == p.tx,
+               "placement log out of step with the cell vectors");
+    cell.pop_back();
+    txs.pop_back();
+    --cell_load_[ci];
+    // Another transmission in the slot may share an endpoint (only in a
+    // schedule with conflicts, which add() does not forbid): keep its bit.
+    const auto uses = [&txs](node_id node) {
+      return std::any_of(txs.begin(), txs.end(), [node](const auto& tx) {
+        return tx.sender == node || tx.receiver == node;
+      });
+    };
+    if (!uses(p.tx.sender)) clear_busy(p.tx.sender, p.slot);
+    if (!uses(p.tx.receiver)) clear_busy(p.tx.receiver, p.slot);
   }
-  for (const slot_t slot : touched_slots) {
-    auto& txs = slot_all_[static_cast<std::size_t>(slot)];
-    txs.erase(std::remove_if(txs.begin(), txs.end(), is_flows), txs.end());
-    // Re-derive the slot's busy bits from the survivors: clear every
-    // allocated node's bit for this slot, then re-mark the remaining
-    // transmissions. A conflict-free schedule has at most one
-    // transmission per node per slot, but deriving from ground truth
-    // keeps the index right for any add() history.
-    const std::size_t word = static_cast<std::size_t>(slot) / k_word_bits;
-    const std::uint64_t mask =
-        ~(std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits));
-    for (std::size_t row = word; row < node_busy_.size();
-         row += words_per_node_)
-      node_busy_[row] &= mask;
-    for (const auto& tx : txs) {
-      mark_busy(tx.sender, slot);
-      mark_busy(tx.receiver, slot);
-    }
-  }
-  return removed;
 }
 
 const std::vector<transmission>& schedule::cell(slot_t slot,

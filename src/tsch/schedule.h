@@ -39,15 +39,16 @@ class schedule {
   /// that is the scheduler's job.
   void add(const transmission& tx, slot_t slot, offset_t offset);
 
-  /// Removes every placement of the given flow — the eviction primitive
-  /// of incremental delta-scheduling (core::delta_scheduler). Cost is
-  /// O(total placements + touched cells): the freed cells' vectors and
-  /// load counters shrink, and busy bits are cleared per touched slot by
-  /// re-deriving them from the slot's surviving transmissions (correct
-  /// even if the caller ever placed conflicting transmissions). The
-  /// relative order of the surviving placements() is preserved. Returns
-  /// the number of placements removed (0 when the flow is absent).
-  std::size_t remove_flow(flow_id flow);
+  /// Removes placements()[n, end) — the repair primitive of incremental
+  /// delta-scheduling (core::delta_scheduler). Placements are popped in
+  /// LIFO order, so each popped transmission is the last element of its
+  /// cell vector and of its slot vector: the vectors shrink from the
+  /// back, the cell's load counter drops, and a node's busy bit in the
+  /// slot is cleared only if no transmission left in the slot uses the
+  /// node. Cost is O(removed placements x slot size). Afterwards the
+  /// schedule equals one built by add()ing the first n placements.
+  /// Throws std::invalid_argument if n > num_transmissions().
+  void truncate(std::size_t n);
 
   /// Transmissions already assigned to one cell (T_sc in the paper).
   const std::vector<transmission>& cell(slot_t slot, offset_t offset) const;
@@ -124,6 +125,7 @@ class schedule {
     WSAN_REQUIRE(slot >= 0 && slot < num_slots_, "slot out of range");
   }
   void mark_busy(node_id node, slot_t slot);
+  void clear_busy(node_id node, slot_t slot);
 
   slot_t num_slots_ = 0;
   int num_offsets_ = 0;

@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,12 +54,24 @@ bool expect_canonical(const core::delta_scheduler& delta,
   const auto oracle = core::schedule_flows(
       delta.flows(), blueprint.reuse_hops, delta.config());
   EXPECT_EQ(delta.schedulable(), oracle.schedulable) << context;
+  EXPECT_EQ(delta.first_failed(), oracle.first_failed_flow) << context;
   EXPECT_EQ(delta.sched().num_slots(), oracle.sched.num_slots()) << context;
   EXPECT_EQ(delta.sched().num_offsets(), oracle.sched.num_offsets())
       << context;
   EXPECT_EQ(delta.sched().placements(), oracle.sched.placements())
       << context << ": placements diverged from the schedule_flows oracle";
   return oracle.schedulable;
+}
+
+/// The admission verdict delta.h promises: schedule_flows over
+/// flows()+f, computed on a copy before the delta state is mutated.
+bool oracle_admits_flow(const core::delta_scheduler& delta,
+                        const network_blueprint& blueprint, flow::flow f) {
+  auto with_f = delta.flows();
+  f.id = static_cast<flow_id>(with_f.size());
+  with_f.push_back(std::move(f));
+  return core::schedule_flows(with_f, blueprint.reuse_hops, delta.config())
+      .schedulable;
 }
 
 /// Spot-checks the occupancy index against the ground-truth vectors:
@@ -103,15 +117,7 @@ void run_trace(const std::string& testbed, std::uint64_t seed, int ops) {
     if (do_admit) {
       auto f = flow::generate_flow_set(blueprint.comm, params, gen)
                    .flows.front();
-      // Oracle verdict for this exact admission, computed on a copy
-      // BEFORE mutating the delta state.
-      auto with_f = delta.flows();
-      f.id = static_cast<flow_id>(with_f.size());
-      with_f.push_back(f);
-      const bool oracle_admits =
-          delta.schedulable() &&
-          core::schedule_flows(with_f, blueprint.reuse_hops, delta.config())
-              .schedulable;
+      const bool oracle_admits = oracle_admits_flow(delta, blueprint, f);
       const auto out = delta.admit_flow(f);
       EXPECT_EQ(out.admitted, oracle_admits)
           << context << ": admission verdict diverged";
@@ -149,6 +155,117 @@ TEST(DeltaEquivalence, RandomTraceMatchesOracleOnIndriya) {
 
 TEST(DeltaEquivalence, RandomTraceMatchesOracleOnWustl) {
   run_trace("wustl", 9, 48);
+}
+
+/// Churn at capacity, the shape under which greedy repair leaves
+/// tenants unschedulable: RC on three channels, periods 2^-1..2^2 s,
+/// warm-up to about 60 flows, then evict-one/admit-one ops. Every op is
+/// checked against schedule_flows, and the trace must reach each branch
+/// of the in-place repair of an unschedulable base.
+void run_churn_at_capacity(const std::string& testbed, std::uint64_t seed,
+                           int ops) {
+  fleet_config config;
+  config.testbed = testbed;
+  config.num_channels = 3;
+  config.algo = core::algorithm::rc;
+  const auto blueprint = make_blueprint(config);
+  core::delta_scheduler delta(blueprint.reuse_hops, blueprint.sched_config);
+
+  flow::flow_set_params params;
+  params.num_flows = 1;
+  params.period_min_exp = -1;
+  params.period_max_exp = 2;
+  rng gen(seed);
+  const auto next_flow = [&] {
+    return flow::generate_flow_set(blueprint.comm, params, gen)
+        .flows.front();
+  };
+
+  for (int rejections = 0; delta.size() < 60 && rejections < 8;) {
+    const auto f = next_flow();
+    const bool oracle_admits = oracle_admits_flow(delta, blueprint, f);
+    const auto out = delta.admit_flow(f);
+    ASSERT_EQ(out.admitted, oracle_admits) << testbed << " warm-up";
+    rejections = out.admitted ? 0 : rejections + 1;
+  }
+  expect_canonical(delta, blueprint, testbed + " warm-up");
+  ASSERT_GT(delta.size(), 40u) << testbed;
+  // Rejected arrivals shrink a tenant, so return to the warm-up state
+  // every 16 ops to stay near capacity.
+  const core::delta_scheduler warm = delta;
+
+  int unschedulable_bases = 0;
+  int quick_rejections = 0;
+  int evicts_after_failed = 0;
+  int evicts_at_or_before_failed = 0;
+  for (int op = 0; op < ops; ++op) {
+    const std::string context = testbed + " op " + std::to_string(op);
+    const auto victim = static_cast<flow_id>(
+        gen.uniform_int(0, static_cast<int>(delta.size()) - 1));
+    const flow_id failed = delta.first_failed();
+    const slot_t hp = delta.sched().num_slots();
+    // The branch boundary, on copies: evict the failed flow itself (it
+    // must be replayed) and the flow right after it (only renumbered).
+    for (const flow_id edge : {failed, failed + 1}) {
+      if (failed == k_invalid_flow ||
+          static_cast<std::size_t>(edge) >= delta.size())
+        continue;
+      auto copy = delta;
+      ASSERT_TRUE(copy.evict_flow(edge).evicted) << context;
+      expect_canonical(copy, blueprint,
+                       context + " evict of flow " + std::to_string(edge));
+    }
+    const auto evict = delta.evict_flow(victim);
+    ASSERT_TRUE(evict.evicted) << context;
+    if (failed != k_invalid_flow && victim > failed) {
+      // Flows after the failed one hold no placements: only renumbering.
+      ++evicts_after_failed;
+      if (!evict.full_reschedule) {
+        EXPECT_EQ(evict.freed, 0u) << context;
+        EXPECT_EQ(evict.rescheduled_flows, 0u) << context;
+      }
+    } else if (failed != k_invalid_flow) {
+      ++evicts_at_or_before_failed;
+    }
+    EXPECT_EQ(evict.full_reschedule,
+              flow::hyperperiod(delta.flows()) != hp)
+        << context << ": evict rerun without a hyperperiod change";
+    expect_canonical(delta, blueprint, context + " evict");
+    expect_index_consistent(delta.sched());
+
+    const auto f = next_flow();
+    const bool oracle_admits = oracle_admits_flow(delta, blueprint, f);
+    const bool base_schedulable = delta.schedulable();
+    const slot_t base_hp = delta.sched().num_slots();
+    const auto admit = delta.admit_flow(f);
+    EXPECT_EQ(admit.admitted, oracle_admits)
+        << context << ": admission verdict diverged";
+    EXPECT_EQ(admit.full_reschedule, std::lcm(base_hp, f.period) != base_hp)
+        << context << ": admit rerun without a hyperperiod change";
+    if (!base_schedulable) {
+      ++unschedulable_bases;
+      if (!admit.full_reschedule) {
+        EXPECT_FALSE(admit.admitted) << context;
+        ++quick_rejections;
+      }
+    }
+    expect_canonical(delta, blueprint, context + " admit");
+    expect_index_consistent(delta.sched());
+    if (op % 16 == 15) delta = warm;
+  }
+  // Deterministic given the seed — tune the seed, not these.
+  EXPECT_GT(unschedulable_bases, 0) << testbed;
+  EXPECT_GT(quick_rejections, 0) << testbed;
+  EXPECT_GT(evicts_after_failed, 0) << testbed;
+  EXPECT_GT(evicts_at_or_before_failed, 0) << testbed;
+}
+
+TEST(DeltaEquivalence, ChurnAtCapacityMatchesOracleOnIndriya) {
+  run_churn_at_capacity("indriya", 3, 120);
+}
+
+TEST(DeltaEquivalence, ChurnAtCapacityMatchesOracleOnWustl) {
+  run_churn_at_capacity("wustl", 3, 120);
 }
 
 TEST(DeltaEquivalence, AdmissionRejectionRollsBackExactly) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <stdexcept>
 
 #include "graph/hop_matrix.h"
 #include "tsch/hopping.h"
@@ -113,50 +115,129 @@ TEST(Schedule, ShiftedScheduleRebuildsItsIndex) {
   EXPECT_EQ(shifted.cell_load(3, 0), 1);
 }
 
-// -------------------------------------------------------- remove_flow --
+// ----------------------------------------------------------- truncate --
 
-TEST(Schedule, RemoveFlowFreesCellsAndCounts) {
+TEST(Schedule, TruncateFreesCellsAndCounts) {
   schedule s(10, 2);
-  s.add(make_tx(0, 1, /*f=*/0), 0, 0);
-  s.add(make_tx(2, 3, /*f=*/1), 0, 0);  // shares the cell with flow 0
-  s.add(make_tx(1, 2, /*f=*/0), 1, 1);
-  s.add(make_tx(4, 5, /*f=*/1), 2, 0);
+  s.add(make_tx(2, 3, /*f=*/0), 0, 0);
+  s.add(make_tx(4, 5, /*f=*/0), 2, 0);
+  s.add(make_tx(0, 1, /*f=*/1), 0, 0);  // shares the cell with flow 0
+  s.add(make_tx(1, 2, /*f=*/1), 1, 1);
 
-  EXPECT_EQ(s.remove_flow(0), 2u);
+  s.truncate(2);
   EXPECT_EQ(s.num_transmissions(), 2u);
-  // Flow 1's placements survive, in their original relative order.
+  // The first two placements survive, in their original order.
   ASSERT_EQ(s.placements().size(), 2u);
-  EXPECT_EQ(s.placements()[0].tx.flow, 1);
+  EXPECT_EQ(s.placements()[0].tx.flow, 0);
   EXPECT_EQ(s.placements()[0].slot, 0);
   EXPECT_EQ(s.placements()[1].slot, 2);
   // Cell vectors and load counters shrank together.
   EXPECT_EQ(s.cell_size(0, 0), 1);
   EXPECT_EQ(s.cell_load(0, 0), 1);
+  EXPECT_EQ(s.cell(0, 0).front(), make_tx(2, 3, 0));
   EXPECT_EQ(s.cell_size(1, 1), 0);
   EXPECT_EQ(s.cell_load(1, 1), 0);
   EXPECT_EQ(s.slot_transmissions(1).size(), 0u);
-  // Removing an absent flow is a no-op.
-  EXPECT_EQ(s.remove_flow(0), 0u);
-  EXPECT_EQ(s.remove_flow(7), 0u);
+  // Truncating to the current size is a no-op; past the end throws.
+  s.truncate(2);
+  EXPECT_EQ(s.num_transmissions(), 2u);
+  EXPECT_THROW(s.truncate(3), std::invalid_argument);
+  EXPECT_EQ(s.num_transmissions(), 2u);
+  s.truncate(0);
+  EXPECT_EQ(s.num_transmissions(), 0u);
+  EXPECT_EQ(s.cell_load(0, 0), 0);
+  EXPECT_EQ(s.cell_load(2, 0), 0);
 }
 
-TEST(Schedule, RemoveFlowClearsBusyBitsButKeepsSharedSlots) {
-  schedule s(10, 2);
-  s.add(make_tx(0, 1, /*f=*/0), 4, 0);
-  s.add(make_tx(2, 3, /*f=*/1), 4, 1);  // flow 1 also busy in slot 4
-  s.add(make_tx(1, 2, /*f=*/0), 6, 0);
+TEST(Schedule, TruncateKeepsCellAndSlotOrder) {
+  schedule s(4, 2);
+  s.add(make_tx(0, 1, /*f=*/0), 1, 0);
+  s.add(make_tx(2, 3, /*f=*/1), 1, 0);
+  s.add(make_tx(4, 5, /*f=*/2), 1, 1);
+  s.add(make_tx(6, 7, /*f=*/3), 1, 0);
 
-  ASSERT_EQ(s.remove_flow(0), 2u);
-  // Flow 0's endpoints are free again everywhere...
+  s.truncate(3);
+  ASSERT_EQ(s.cell_size(1, 0), 2);
+  EXPECT_EQ(s.cell(1, 0)[0].flow, 0);
+  EXPECT_EQ(s.cell(1, 0)[1].flow, 1);
+  ASSERT_EQ(s.slot_transmissions(1).size(), 3u);
+  EXPECT_EQ(s.slot_transmissions(1)[0].flow, 0);
+  EXPECT_EQ(s.slot_transmissions(1)[1].flow, 1);
+  EXPECT_EQ(s.slot_transmissions(1)[2].flow, 2);
+}
+
+TEST(Schedule, TruncateClearsBusyBitsButKeepsSharedSlots) {
+  schedule s(10, 2);
+  s.add(make_tx(2, 3, /*f=*/0), 4, 1);  // flow 0 also busy in slot 4
+  s.add(make_tx(0, 1, /*f=*/1), 4, 0);
+  s.add(make_tx(1, 2, /*f=*/1), 6, 0);
+
+  s.truncate(1);
+  // Flow 1's endpoints are free again everywhere...
   EXPECT_FALSE(s.node_busy(0, 4));
   EXPECT_FALSE(s.node_busy(1, 4));
   EXPECT_FALSE(s.node_busy(1, 6));
   EXPECT_FALSE(s.node_busy(2, 6));
-  // ...but flow 1's occupancy in the shared slot is retained.
+  // ...but flow 0's occupancy in the shared slot is retained.
   EXPECT_TRUE(s.node_busy(2, 4));
   EXPECT_TRUE(s.node_busy(3, 4));
   EXPECT_TRUE(s.slot_conflict_free(make_tx(0, 1), 4));
   EXPECT_FALSE(s.slot_conflict_free(make_tx(3, 5), 4));
+}
+
+TEST(Schedule, TruncateKeepsTheBitOfANodeStillUsedInTheSlot) {
+  // add() does not forbid conflicts: node 1 appears twice in slot 5.
+  schedule s(8, 2);
+  s.add(make_tx(0, 1), 5, 0);
+  s.add(make_tx(1, 2), 5, 1);
+  s.truncate(1);
+  EXPECT_TRUE(s.node_busy(0, 5));
+  EXPECT_TRUE(s.node_busy(1, 5));
+  EXPECT_FALSE(s.node_busy(2, 5));
+}
+
+TEST(Schedule, TruncateEqualsRebuildFromThePrefix) {
+  // Random add/truncate rounds on a grid that spans three bitset words,
+  // with few nodes so slots share endpoints. After every truncate(n) the
+  // schedule must equal one built by add()ing the first n placements.
+  constexpr slot_t k_slots = 150;
+  constexpr int k_offsets = 3;
+  constexpr node_id k_nodes = 6;
+  std::mt19937 gen(11);
+  const auto pick = [&gen](int hi) {
+    return std::uniform_int_distribution<int>(0, hi - 1)(gen);
+  };
+  schedule s(k_slots, k_offsets);
+  for (int round = 0; round < 60; ++round) {
+    const int adds = pick(40);
+    for (int i = 0; i < adds; ++i) {
+      const node_id a = pick(k_nodes);
+      const node_id b = (a + 1 + pick(k_nodes - 1)) % k_nodes;
+      s.add(make_tx(a, b, /*f=*/round, /*instance=*/i), pick(k_slots),
+            pick(k_offsets));
+    }
+    const auto n = static_cast<std::size_t>(
+        pick(static_cast<int>(s.num_transmissions()) + 1));
+    const auto log = s.placements();
+    s.truncate(n);
+
+    schedule rebuilt(k_slots, k_offsets);
+    for (std::size_t i = 0; i < n; ++i)
+      rebuilt.add(log[i].tx, log[i].slot, log[i].offset);
+    ASSERT_EQ(s.placements(), rebuilt.placements()) << "round " << round;
+    for (slot_t slot = 0; slot < k_slots; ++slot) {
+      ASSERT_EQ(s.slot_transmissions(slot), rebuilt.slot_transmissions(slot))
+          << "round " << round << " slot " << slot;
+      for (offset_t c = 0; c < k_offsets; ++c) {
+        ASSERT_EQ(s.cell_load(slot, c), rebuilt.cell_load(slot, c))
+            << "round " << round << " cell " << slot << "," << c;
+        ASSERT_EQ(s.cell(slot, c), rebuilt.cell(slot, c));
+      }
+      for (node_id node = 0; node < k_nodes; ++node)
+        ASSERT_EQ(s.node_busy(node, slot), rebuilt.node_busy(node, slot))
+            << "round " << round << " node " << node << " slot " << slot;
+    }
+  }
 }
 
 // ------------------------------------------------------------ hopping --
