@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/error.h"
 #include "core/constraints.h"
 #include "core/slot_finder.h"
-#include "obs/trace.h"
 #include "core/probe_counters.h"
 
 namespace wsan::core {
@@ -18,7 +18,7 @@ namespace {
 /// unusable if it is management-reserved or conflicts with at least one
 /// remaining transmission — and counts once either way.
 long long count_unusable_naive(const tsch::schedule& sched,
-                               const std::vector<tsch::transmission>& post,
+                               std::span<const tsch::transmission> post,
                                slot_t s, slot_t end, int period) {
   long long unusable = 0;
   for (slot_t k = s + 1; k <= end; ++k) {
@@ -42,9 +42,8 @@ long long count_unusable_naive(const tsch::schedule& sched,
 /// with some t in T_post iff one of t's endpoints is busy in it, so the
 /// OR mask marks exactly the conflicting slots.
 long long count_unusable_indexed(
-    const tsch::schedule& sched,
-    const std::vector<tsch::transmission>& post, slot_t s, slot_t end,
-    int period) {
+    const tsch::schedule& sched, std::span<const tsch::transmission> post,
+    slot_t s, slot_t end, int period) {
   // Row pointers for every endpoint of the remaining sequence.
   // Duplicates only re-OR identical words, so instead of a full dedup
   // we just skip the adjacent repeats produced by per-link retry
@@ -101,11 +100,10 @@ long long count_unusable_indexed(
 }  // namespace
 
 long long calculate_laxity(const tsch::schedule& sched,
-                           const std::vector<tsch::transmission>& post,
+                           std::span<const tsch::transmission> post,
                            slot_t s, slot_t deadline_slot,
                            int management_slot_period, bool use_index,
                            probe_counters* probes) {
-  OBS_SPAN("core.laxity");
   WSAN_REQUIRE(s >= 0, "slot must be non-negative");
   WSAN_REQUIRE(management_slot_period >= 0,
                "management slot period must be non-negative");

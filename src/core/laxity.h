@@ -17,7 +17,7 @@
 // rest of this instance.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "core/probe_counters.h"
 #include "tsch/schedule.h"
@@ -25,7 +25,8 @@
 
 namespace wsan::core {
 
-/// Computes Equation 1. `post` is T_post; `s` the candidate slot of
+/// Computes Equation 1. `post` is T_post (a view, typically the tail of
+/// the instance's transmission sequence); `s` the candidate slot of
 /// t_ij; `deadline_slot` is d_i (the last usable slot of the instance).
 /// `management_slot_period` mirrors find_slot's reservation (0 = none).
 ///
@@ -35,7 +36,7 @@ namespace wsan::core {
 /// return identical values. `probes`, when non-null, accumulates
 /// hot-path counters.
 long long calculate_laxity(const tsch::schedule& sched,
-                           const std::vector<tsch::transmission>& post,
+                           std::span<const tsch::transmission> post,
                            slot_t s, slot_t deadline_slot,
                            int management_slot_period = 0,
                            bool use_index = true,

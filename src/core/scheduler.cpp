@@ -1,6 +1,8 @@
 #include "core/scheduler.h"
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "common/error.h"
 #include "core/laxity.h"
@@ -49,12 +51,12 @@ void observe_final_rho(int rho) {
 }
 
 /// Expands one flow instance into its transmission sequence: every route
-/// link in order, each with (1 + retries) attempts.
-std::vector<tsch::transmission> instance_transmissions(
-    const flow::flow& f, int instance, int retries_per_link) {
-  std::vector<tsch::transmission> txs;
-  txs.reserve(f.route.size() *
-              static_cast<std::size_t>(1 + retries_per_link));
+/// link in order, each with (1 + retries) attempts. Overwrites `txs`, so
+/// one buffer serves every instance of a flow.
+void instance_transmissions(const flow::flow& f, int instance,
+                            int retries_per_link,
+                            std::vector<tsch::transmission>& txs) {
+  txs.clear();
   for (int li = 0; li < static_cast<int>(f.route.size()); ++li) {
     for (int a = 0; a <= retries_per_link; ++a) {
       tsch::transmission tx;
@@ -67,7 +69,6 @@ std::vector<tsch::transmission> instance_transmissions(
       txs.push_back(tx);
     }
   }
-  return txs;
 }
 
 }  // namespace
@@ -153,19 +154,19 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
   // Algorithm 1: rho starts at infinity for each flow.
   int rho = k_infinite_hops;
   const int instances = f.instances_in(sched.num_slots());
+  std::vector<tsch::transmission> txs;
+  txs.reserve(f.route.size() *
+              static_cast<std::size_t>(1 + config.retries_per_link));
   for (int r = 0; r < instances; ++r) {
-    const auto txs =
-        instance_transmissions(f, r, config.retries_per_link);
+    instance_transmissions(f, r, config.retries_per_link, txs);
     slot_t earliest = f.release_slot(r);
     const slot_t d_i = f.deadline_slot(r);
 
     for (std::size_t ti = 0; ti < txs.size(); ++ti) {
       const auto& tx = txs[ti];
       // T_post: the remaining transmissions of this instance.
-      const std::vector<tsch::transmission> post(txs.begin() +
-                                                     static_cast<long>(ti) +
-                                                     1,
-                                                 txs.end());
+      const auto post =
+          std::span<const tsch::transmission>(txs).subspan(ti + 1);
 
       std::optional<slot_assignment> found;
       switch (config.algo) {
@@ -245,7 +246,7 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
                      {"link_index", tx.link_index}});
         return false;
       }
-      if (!sched.cell(found->slot, found->offset).empty())
+      if (sched.cell_load(found->slot, found->offset) > 0)
         ++stats.reuse_placements;
       sched.add(tx, found->slot, found->offset);
       ++stats.total_transmissions;

@@ -34,10 +34,17 @@ struct slot_assignment {
 /// accept empty cells, and cells holding a listed link's transmission
 /// accept nobody else (reschedule-after-detection, Section VI).
 ///
-/// With `use_index` (the default) the transmission-conflict test and
-/// the per-offset loads come from the schedule's occupancy index; the
-/// naive scan over slot_transmissions() remains as the reference
-/// oracle. `probes`, when non-null, accumulates hot-path counters.
+/// With `use_index` (the default) the search runs on the schedule's
+/// occupancy index, 64 slots per word: the transmission-conflict test
+/// and the management reservation are bit masks, without reuse the
+/// first candidate is the first slot that is open and not full, and the
+/// per-offset loads are cached integers. The naive scan over
+/// slot_transmissions() remains as the reference oracle; both paths
+/// return the same assignment and the same probe counts. `probes`, when
+/// non-null, accumulates hot-path counters.
+///
+/// Throws std::invalid_argument at finite `rho` if an endpoint of tx, or
+/// of a transmission in a cell it checks, lies outside `reuse_hops`.
 std::optional<slot_assignment> find_slot(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t latest, int rho,

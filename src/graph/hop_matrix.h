@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/error.h"
 #include "graph/graph.h"
 
 namespace wsan::graph {
@@ -20,6 +21,16 @@ class hop_matrix {
 
   /// Hop distance between u and v; k_infinite_hops when unreachable.
   int hops(node_id u, node_id v) const;
+
+  /// Row u of the matrix: row(u)[v] == hops(u, v) for v in
+  /// [0, num_nodes()). Checks u only; a caller that reads many entries
+  /// checks each v itself. The matrix is symmetric (G_R is undirected),
+  /// so row(u)[v] == row(v)[u].
+  const int* row(node_id u) const {
+    WSAN_REQUIRE(u >= 0 && u < num_nodes_, "node id out of range");
+    return dist_.data() +
+           static_cast<std::size_t>(u) * static_cast<std::size_t>(num_nodes_);
+  }
 
   /// Maximum finite pairwise distance (the network diameter lambda_R used
   /// to seed rho in Algorithm 1).

@@ -1,6 +1,6 @@
 // Scoped tracing spans (DESIGN.md §9).
 //
-// OBS_SPAN("core.find_slot"); opens an RAII span that, when
+// OBS_SPAN("core.rc_relaxation"); opens an RAII span that, when
 // observability is enabled at runtime, records one steady-clock
 // duration into the metrics registry's per-thread shard (two counter
 // slots: invocation count and total nanoseconds). Spans nest freely —

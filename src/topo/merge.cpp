@@ -1,5 +1,7 @@
 #include "topo/merge.h"
 
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "phy/path_loss.h"
@@ -19,13 +21,16 @@ merge_result merge_topologies(const topology& a, const topology& b,
   result.merged.set_tx_power_dbm(a.tx_power_dbm());
   result.node_offset = a.num_nodes();
 
+  std::vector<phy::position> positions;
+  positions.reserve(static_cast<std::size_t>(a.num_nodes() + b.num_nodes()));
   for (node_id u = 0; u < a.num_nodes(); ++u)
-    result.merged.add_node(a.position_of(u));
+    positions.push_back(a.position_of(u));
   for (node_id v = 0; v < b.num_nodes(); ++v) {
     auto pos = b.position_of(v);
     pos.x += x_offset_m;
-    result.merged.add_node(pos);
+    positions.push_back(pos);
   }
+  result.merged.add_nodes(positions);
 
   // Intra-deployment state is preserved exactly.
   for (node_id u = 0; u < a.num_nodes(); ++u)

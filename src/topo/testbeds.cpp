@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -12,11 +13,12 @@ namespace wsan::topo {
 
 namespace {
 
-/// Places `count` nodes on one floor in a jittered grid covering the
-/// floor area. A grid with jitter mimics the corridor/office deployments
-/// of Indriya and WUSTL: roughly uniform coverage, no large holes.
-void place_floor(topology& topo, const testbed_params& params, int floor,
-                 int count, rng& gen) {
+/// Appends the positions of `count` nodes on one floor, in a jittered
+/// grid covering the floor area. A grid with jitter mimics the
+/// corridor/office deployments of Indriya and WUSTL: roughly uniform
+/// coverage, no large holes.
+void place_floor(std::vector<phy::position>& out, const testbed_params& params,
+                 int floor, int count, rng& gen) {
   if (count <= 0) return;
   const double aspect = params.floor_width_m / params.floor_depth_m;
   int cols = static_cast<int>(std::ceil(std::sqrt(count * aspect)));
@@ -35,7 +37,7 @@ void place_floor(topology& topo, const testbed_params& params, int floor,
               gen.uniform_real(-params.placement_jitter_m,
                                params.placement_jitter_m);
       pos.floor = floor;
-      topo.add_node(pos);
+      out.push_back(pos);
       ++placed;
     }
   }
@@ -88,11 +90,14 @@ topology make_testbed(const testbed_params& params, std::uint64_t seed) {
   // Distribute nodes across floors as evenly as possible.
   const int base = params.num_nodes / params.num_floors;
   int remainder = params.num_nodes % params.num_floors;
+  std::vector<phy::position> positions;
+  positions.reserve(static_cast<std::size_t>(params.num_nodes));
   for (int f = 0; f < params.num_floors; ++f) {
     const int count = base + (remainder > 0 ? 1 : 0);
     if (remainder > 0) --remainder;
-    place_floor(topo, params, f, count, gen);
+    place_floor(positions, params, f, count, gen);
   }
+  topo.add_nodes(positions);
   WSAN_CHECK(topo.num_nodes() == params.num_nodes,
              "floor placement lost nodes");
 

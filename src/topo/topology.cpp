@@ -6,37 +6,23 @@
 
 namespace wsan::topo {
 
-node_id topology::add_node(const phy::position& pos) {
-  const node_id id = static_cast<node_id>(positions_.size());
-  positions_.push_back(pos);
-  // Grow the dense RSSI matrix: rebuild with the new size, preserving
-  // existing entries. Nodes are almost always added up-front, so the
-  // quadratic rebuild cost is irrelevant in practice.
-  const int n = num_nodes();
-  std::vector<double> grown(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n) *
-          phy::k_max_channels,
-      k_no_signal_dbm);
-  const int old_n = n - 1;
-  for (node_id u = 0; u < old_n; ++u) {
-    for (node_id v = 0; v < old_n; ++v) {
-      for (int c = 0; c < phy::k_max_channels; ++c) {
-        const auto old_idx =
-            (static_cast<std::size_t>(u) * static_cast<std::size_t>(old_n) +
-             static_cast<std::size_t>(v)) *
-                phy::k_max_channels +
-            static_cast<std::size_t>(c);
-        const auto new_idx =
-            (static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
-             static_cast<std::size_t>(v)) *
-                phy::k_max_channels +
-            static_cast<std::size_t>(c);
-        grown[new_idx] = rssi_[old_idx];
-      }
-    }
-  }
+node_id topology::add_nodes(std::span<const phy::position> positions) {
+  const auto old_n = positions_.size();
+  const node_id first = static_cast<node_id>(old_n);
+  if (positions.empty()) return first;
+  positions_.insert(positions_.end(), positions.begin(), positions.end());
+  const auto n = positions_.size();
+  // Row u of the old matrix (old_n * k_max_channels values) becomes the
+  // head of row u of the new one.
+  const auto old_row = old_n * phy::k_max_channels;
+  const auto new_row = n * phy::k_max_channels;
+  std::vector<double> grown(n * new_row, k_no_signal_dbm);
+  for (std::size_t u = 0; u < old_n; ++u)
+    std::copy_n(rssi_.begin() + static_cast<std::ptrdiff_t>(u * old_row),
+                old_row,
+                grown.begin() + static_cast<std::ptrdiff_t>(u * new_row));
   rssi_ = std::move(grown);
-  return id;
+  return first;
 }
 
 const phy::position& topology::position_of(node_id id) const {

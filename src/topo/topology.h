@@ -9,6 +9,7 @@
 // the standalone link qualities.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,15 @@ class topology {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Adds a node at the given position; returns its id (dense, 0-based).
-  node_id add_node(const phy::position& pos);
+  /// Adds nodes at the given positions, in order; returns the id of the
+  /// first (ids are dense and 0-based). The RSSI matrix grows once:
+  /// existing links keep their values, every new link starts at
+  /// k_no_signal_dbm.
+  node_id add_nodes(std::span<const phy::position> positions);
+
+  /// Adds one node; returns its id. Building a topology node by node
+  /// regrows the matrix each time, so bulk builders use add_nodes().
+  node_id add_node(const phy::position& pos) { return add_nodes({&pos, 1}); }
 
   int num_nodes() const { return static_cast<int>(positions_.size()); }
   const phy::position& position_of(node_id id) const;

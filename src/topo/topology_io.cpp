@@ -104,12 +104,14 @@ topology load_topology(std::istream& is) {
   }
 
   // Node ids must be dense and 0-based (they are written that way).
-  node_id expected = 0;
+  std::vector<phy::position> positions;
+  positions.reserve(nodes.size());
   for (const auto& [id, pos] : nodes) {
-    WSAN_REQUIRE(id == expected, "node ids must be dense starting at 0");
-    topo.add_node(pos);
-    ++expected;
+    WSAN_REQUIRE(id == static_cast<node_id>(positions.size()),
+                 "node ids must be dense starting at 0");
+    positions.push_back(pos);
   }
+  topo.add_nodes(positions);
   for (const auto& entry : pending) {
     for (int c = 0; c < phy::k_max_channels; ++c)
       topo.set_rssi_dbm(entry.u, entry.v, phy::k_first_channel + c,

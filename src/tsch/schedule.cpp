@@ -1,7 +1,5 @@
 #include "tsch/schedule.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace wsan::tsch {
@@ -16,25 +14,39 @@ schedule::schedule(slot_t num_slots, int num_offsets)
   words_per_node_ =
       (static_cast<std::size_t>(num_slots) + k_word_bits - 1) / k_word_bits;
   cell_load_.assign(cells_.size(), 0);
+  slot_nonempty_.assign(static_cast<std::size_t>(num_slots), 0);
+  full_.assign(words_per_node_, 0);
 }
 
-void schedule::mark_busy(node_id node, slot_t slot) {
-  WSAN_REQUIRE(node >= 0, "transmission node id must be non-negative");
+bool schedule::mark_busy(node_id node, slot_t slot) {
   const auto row = static_cast<std::size_t>(node) * words_per_node_;
   if (row + words_per_node_ > node_busy_.size())
     node_busy_.resize(row + words_per_node_, 0);
-  node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits] |=
-      std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits);
+  std::uint64_t& word =
+      node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits];
+  const std::uint64_t bit = std::uint64_t{1}
+                            << (static_cast<std::size_t>(slot) % k_word_bits);
+  const bool was_clear = (word & bit) == 0;
+  word |= bit;
+  return was_clear;
 }
 
 void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   const std::size_t ci = cell_index(slot, offset);
+  const auto si = static_cast<std::size_t>(slot);
+  // Both ids are validated before anything changes, so a rejected add()
+  // leaves the schedule as it was.
+  WSAN_REQUIRE(tx.sender >= 0 && tx.receiver >= 0,
+               "transmission node id must be non-negative");
+  std::uint8_t set = 0;
+  if (mark_busy(tx.sender, slot)) set |= k_set_sender;
+  if (mark_busy(tx.receiver, slot)) set |= k_set_receiver;
   cells_[ci].push_back(tx);
-  slot_all_[static_cast<std::size_t>(slot)].push_back(tx);
+  slot_all_[si].push_back(tx);
   placements_.push_back(placement{tx, slot, offset});
-  ++cell_load_[ci];
-  mark_busy(tx.sender, slot);
-  mark_busy(tx.receiver, slot);
+  set_bits_.push_back(set);
+  if (cell_load_[ci]++ == 0 && ++slot_nonempty_[si] == num_offsets_)
+    full_[si / k_word_bits] |= std::uint64_t{1} << (si % k_word_bits);
 }
 
 void schedule::clear_busy(node_id node, slot_t slot) {
@@ -48,10 +60,13 @@ void schedule::truncate(std::size_t n) {
                "truncate past the end of the placement log");
   while (placements_.size() > n) {
     const placement p = placements_.back();
+    const std::uint8_t set = set_bits_.back();
     placements_.pop_back();
+    set_bits_.pop_back();
     const std::size_t ci = cell_index(p.slot, p.offset);
+    const auto si = static_cast<std::size_t>(p.slot);
     auto& cell = cells_[ci];
-    auto& txs = slot_all_[static_cast<std::size_t>(p.slot)];
+    auto& txs = slot_all_[si];
     // add() appends to all three vectors, so the log's last entry is
     // last in its cell and in its slot.
     WSAN_CHECK(!cell.empty() && cell.back() == p.tx && !txs.empty() &&
@@ -59,32 +74,14 @@ void schedule::truncate(std::size_t n) {
                "placement log out of step with the cell vectors");
     cell.pop_back();
     txs.pop_back();
-    --cell_load_[ci];
-    // Another transmission in the slot may share an endpoint (only in a
-    // schedule with conflicts, which add() does not forbid): keep its bit.
-    const auto uses = [&txs](node_id node) {
-      return std::any_of(txs.begin(), txs.end(), [node](const auto& tx) {
-        return tx.sender == node || tx.receiver == node;
-      });
-    };
-    if (!uses(p.tx.sender)) clear_busy(p.tx.sender, p.slot);
-    if (!uses(p.tx.receiver)) clear_busy(p.tx.receiver, p.slot);
+    if (--cell_load_[ci] == 0 && slot_nonempty_[si]-- == num_offsets_)
+      full_[si / k_word_bits] &= ~(std::uint64_t{1} << (si % k_word_bits));
+    // Every later placement is already popped, so a bit this add() set
+    // has no other owner; a bit it found set belongs to an earlier
+    // placement in the slot and stays.
+    if (set & k_set_sender) clear_busy(p.tx.sender, p.slot);
+    if (set & k_set_receiver) clear_busy(p.tx.receiver, p.slot);
   }
-}
-
-const std::vector<transmission>& schedule::cell(slot_t slot,
-                                                offset_t offset) const {
-  return cells_[cell_index(slot, offset)];
-}
-
-const std::vector<transmission>& schedule::slot_transmissions(
-    slot_t slot) const {
-  check_slot(slot);
-  return slot_all_[static_cast<std::size_t>(slot)];
-}
-
-int schedule::cell_size(slot_t slot, offset_t offset) const {
-  return static_cast<int>(cell(slot, offset).size());
 }
 
 schedule shift_node_ids(const schedule& sched, node_id offset) {

@@ -7,13 +7,17 @@
 // re-checked by validate_schedule().
 //
 // Besides the raw cell contents, the schedule maintains an incremental
-// occupancy index updated by add():
+// occupancy index updated by add() and undone by truncate():
 //   * per-node busy-slot bitsets (one bit per slot for every node that
 //     sends or receives in it), so "does tx conflict with slot s" is two
 //     O(1) bit tests instead of a scan of slot_transmissions(s) — two
 //     transmissions conflict iff they share a node (Section III-B);
 //   * per-cell load counters, so channel-selection policies read a
-//     cached integer instead of measuring the cell vector.
+//     cached integer instead of measuring the cell vector;
+//   * per-slot counts of non-empty offsets and a "full" bitset (bit k set
+//     iff every offset of slot k holds a transmission), so the slot
+//     search without reuse finds its first candidate with word
+//     operations (core::find_slot).
 // The index is derived state only; the vectors remain the ground truth
 // and the naive scans stay available as a reference oracle.
 #pragma once
@@ -41,22 +45,31 @@ class schedule {
 
   /// Removes placements()[n, end) — the repair primitive of incremental
   /// delta-scheduling (core::delta_scheduler). Placements are popped in
-  /// LIFO order, so each popped transmission is the last element of its
-  /// cell vector and of its slot vector: the vectors shrink from the
-  /// back, the cell's load counter drops, and a node's busy bit in the
-  /// slot is cleared only if no transmission left in the slot uses the
-  /// node. Cost is O(removed placements x slot size). Afterwards the
-  /// schedule equals one built by add()ing the first n placements.
+  /// LIFO order, so each pop undoes exactly one add(): the popped
+  /// transmission is the last element of its cell vector and of its slot
+  /// vector, the cell's load counter and the slot's non-empty count drop
+  /// back, and the busy bits this placement's add() set (recorded when
+  /// it was added) are cleared — a bit that was already set stays, as it
+  /// belongs to an earlier placement in the slot. Cost is O(1) per
+  /// removed placement. Afterwards the schedule equals one built by
+  /// add()ing the first n placements.
   /// Throws std::invalid_argument if n > num_transmissions().
   void truncate(std::size_t n);
 
   /// Transmissions already assigned to one cell (T_sc in the paper).
-  const std::vector<transmission>& cell(slot_t slot, offset_t offset) const;
+  const std::vector<transmission>& cell(slot_t slot, offset_t offset) const {
+    return cells_[cell_index(slot, offset)];
+  }
 
   /// All transmissions in a slot across every offset (T_s in the paper).
-  const std::vector<transmission>& slot_transmissions(slot_t slot) const;
+  const std::vector<transmission>& slot_transmissions(slot_t slot) const {
+    check_slot(slot);
+    return slot_all_[static_cast<std::size_t>(slot)];
+  }
 
-  int cell_size(slot_t slot, offset_t offset) const;
+  int cell_size(slot_t slot, offset_t offset) const {
+    return static_cast<int>(cell(slot, offset).size());
+  }
 
   // ------------------------------------------------ occupancy index --
 
@@ -100,6 +113,20 @@ class schedule {
     return cell_load_[cell_index(slot, offset)];
   }
 
+  /// The slot's cached cell loads, one per offset (num_offsets() ints),
+  /// for callers that walk every offset of a slot.
+  const int* slot_loads(slot_t slot) const {
+    check_slot(slot);
+    return cell_load_.data() +
+           static_cast<std::size_t>(slot) *
+               static_cast<std::size_t>(num_offsets_);
+  }
+
+  /// The full-slot bitset, words_per_node() words: bit k is set iff
+  /// every offset of slot k holds a transmission. Bits past num_slots()
+  /// are zero.
+  const std::uint64_t* full_words() const { return full_.data(); }
+
   /// A placement record, in insertion order.
   struct placement {
     transmission tx;
@@ -124,8 +151,14 @@ class schedule {
   void check_slot(slot_t slot) const {
     WSAN_REQUIRE(slot >= 0 && slot < num_slots_, "slot out of range");
   }
-  void mark_busy(node_id node, slot_t slot);
+  /// Sets the node's busy bit in the slot; true iff it was clear.
+  bool mark_busy(node_id node, slot_t slot);
   void clear_busy(node_id node, slot_t slot);
+
+  /// What one add() changed in the busy bitsets, so truncate() can undo
+  /// it without scanning the slot.
+  static constexpr std::uint8_t k_set_sender = 1;
+  static constexpr std::uint8_t k_set_receiver = 2;
 
   slot_t num_slots_ = 0;
   int num_offsets_ = 0;
@@ -135,6 +168,9 @@ class schedule {
   std::size_t words_per_node_ = 0;
   std::vector<std::uint64_t> node_busy_;  // nodes x words_per_node_
   std::vector<int> cell_load_;            // slots x offsets
+  std::vector<int> slot_nonempty_;        // per slot: non-empty offsets
+  std::vector<std::uint64_t> full_;       // words_per_node_ words
+  std::vector<std::uint8_t> set_bits_;    // per placement: k_set_* flags
 };
 
 /// Rebuilds the schedule with every transmission's node ids shifted by

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/constraints.h"
 #include "core/laxity.h"
 #include "core/slot_finder.h"
@@ -228,6 +230,30 @@ TEST(SlotFinder, IndexedAndNaivePathsAgree) {
         EXPECT_EQ(indexed->offset, naive->offset);
       }
     }
+  }
+}
+
+TEST(SlotFinder, EndpointOutsideTheHopMatrixIsRejectedAtFiniteRho) {
+  const auto hops = path_hops(6);  // nodes 0..5
+  tsch::schedule sched(10, 2);
+  sched.add(make_tx(2, 3), 0, 0);
+  for (const bool use_index : {true, false}) {
+    for (const auto& tx : {make_tx(0, 6), make_tx(9, 1), make_tx(-1, 1)}) {
+      EXPECT_THROW(find_slot(sched, tx, 0, 9, 2, hops,
+                             channel_policy::min_load, nullptr, 0,
+                             use_index),
+                   std::invalid_argument);
+    }
+    // An occupant outside the matrix is caught when its cell is checked.
+    tsch::schedule foreign(10, 1);
+    foreign.add(make_tx(7, 8), 0, 0);
+    EXPECT_THROW(find_slot(foreign, make_tx(0, 1), 0, 0, 2, hops,
+                           channel_policy::min_load, nullptr, 0, use_index),
+                 std::invalid_argument);
+    // Without reuse no hop distance is read, so no range applies.
+    EXPECT_TRUE(find_slot(sched, make_tx(0, 6), 0, 9, k_infinite_hops, hops,
+                          channel_policy::min_load, nullptr, 0, use_index)
+                    .has_value());
   }
 }
 
